@@ -31,8 +31,8 @@
 // --p-sweep skips the regression rows and instead times one 2-D stencil
 // halo-exchange CommStep at P = 64 / 1k / 64k / 1M (the mega-scale
 // acceptance numbers recorded in EXPERIMENTS.md), plus a P = 1M
-// 64-component dissemination round with the parallel component
-// decomposition off and on.
+// 64-component dissemination round on the seeded heap loop and on the
+// dense ordered-ties scan.
 //
 // --no-step-cache (or LOGSIM_STEP_CACHE=0) disables the comm-step cache:
 // batch_ge_block_sweep then measures the uncached engine and the two
@@ -261,29 +261,32 @@ BenchResult bench_step_cache(bool warmed, int iters, int samples) {
 }
 
 // --p-sweep: one stencil halo CommStep per decade of P, timed standalone.
-// Each row simulates a single standard-schedule step (the unit the P=1M
-// "< 1 s" acceptance target is stated in); the final rows time a P = 1M
-// dissemination round (64 independent rings) scalar vs decomposed to show
-// the component-parallel speedup.
+// Each row simulates a single standard-schedule step through
+// core::ParallelCommSimulator (the unit the P=1M "< 1 s" acceptance target
+// is stated in; from P = 2048 up it takes the dense scan).  The final rows
+// time a P = 1M dissemination round (64 independent rings) on the seeded
+// heap loop against the dense scan -- the row that keeps the dense scan.
 void run_p_sweep() {
-  const auto time_pattern = [](const pattern::CommPattern& pat,
-                               core::ParallelCommSimulator& sim,
-                               core::FinishOnlySink& sink, double& sec,
-                               int& components) {
-    const std::vector<Time> ready(static_cast<std::size_t>(pat.procs()),
-                                  Time::zero());
-    (void)sim.run_into(pat, ready, /*seed=*/1, sink);  // warm-up
+  // One warm-up run (scratch growth), then the median of 3 timed runs.
+  const auto time_step = [](const auto& run) {
+    run();
     std::vector<double> secs;
     for (int s = 0; s < 3; ++s) {
       const auto start = Clock::now();
-      const auto info = sim.run_into(pat, ready, /*seed=*/1, sink);
+      run();
       secs.push_back(seconds_since(start));
-      components = info.components;
     }
-    sec = median(secs);
+    return median(secs);
+  };
+  util::Table table{{"pattern", "P", "messages", "sec/step", "ops_per_sec"}};
+  const auto add_row = [&](const std::string& name,
+                           const pattern::CommPattern& pat, double sec) {
+    const double ops = 2.0 * static_cast<double>(pat.size());
+    table.add_row({name, std::to_string(pat.procs()),
+                   std::to_string(pat.size()), util::fmt(sec, 4),
+                   util::fmt(ops / sec, 0)});
   };
 
-  util::Table table{{"pattern", "P", "messages", "sec/step", "ops_per_sec"}};
   for (const int procs : {64, 1024, 65536, 1048576}) {
     stencil::StencilConfig cfg;
     cfg.partition = stencil::Partition::kTiles2D;
@@ -291,37 +294,38 @@ void run_p_sweep() {
     const int q = static_cast<int>(std::lround(std::sqrt(double(procs))));
     cfg.n = q * 16;  // 16x16-cell tiles at every P
     const auto pat = stencil::halo_pattern(cfg);
-    const auto params = loggp::presets::meiko_cs2(procs);
-    core::ParallelCommOptions popts;  // halo is one component: scalar SoA
-    core::ParallelCommSimulator sim{params, popts};
+    const std::vector<Time> ready(static_cast<std::size_t>(procs),
+                                  Time::zero());
+    core::ParallelCommSimulator sim{loggp::presets::meiko_cs2(procs)};
     core::FinishOnlySink sink;
-    double sec = 0.0;
-    int components = 0;
-    time_pattern(pat, sim, sink, sec, components);
-    const double ops = 2.0 * static_cast<double>(pat.size());
-    table.add_row({"stencil_halo_2d", std::to_string(procs),
-                   std::to_string(pat.size()), util::fmt(sec, 4),
-                   util::fmt(ops / sec, 0)});
+    add_row("stencil_halo_2d", pat, time_step([&] {
+              (void)sim.run_into(pat, ready, /*seed=*/1, sink);
+            }));
   }
 
   const int procs = 1048576;
   const auto pat = collective::dissemination_round(procs, 6, Bytes{1024});
   const auto params = loggp::presets::meiko_cs2(procs);
-  for (const bool decompose : {false, true}) {
-    core::ParallelCommOptions popts;
-    popts.enabled = decompose;
-    popts.parallel = runtime::sim_parallel_for();
-    core::ParallelCommSimulator sim{params, popts};
-    core::FinishOnlySink sink;
-    double sec = 0.0;
-    int components = 0;
-    time_pattern(pat, sim, sink, sec, components);
-    const double ops = 2.0 * static_cast<double>(pat.size());
-    table.add_row({decompose ? "dissemination_r6 (decomposed)"
-                             : "dissemination_r6 (scalar)",
-                   std::to_string(procs), std::to_string(pat.size()),
-                   util::fmt(sec, 4), util::fmt(ops / sec, 0)});
-  }
+  const std::vector<Time> ready(static_cast<std::size_t>(procs), Time::zero());
+  core::FinishOnlySink sink;
+
+  core::CommSimOptions heap_opts;
+  heap_opts.seed = 1;
+  const core::CommSimulator heap{params, heap_opts};
+  core::CommSimScratch scratch;
+  add_row("dissemination_r6 (heap)", pat, time_step([&] {
+            sink.reset(procs);
+            heap.run_into(pat, ready, {}, sink, scratch);
+          }));
+
+  core::ParallelCommSimulator dense{params};
+  core::ParallelRunInfo info;
+  const double dense_sec = time_step([&] {
+    info = dense.run_into(pat, ready, /*seed=*/1, sink);
+  });
+  add_row(info.dense ? "dissemination_r6 (dense)"
+                     : "dissemination_r6 (dense bailed to heap)",
+          pat, dense_sec);
 
   std::cout << "=== mega-scale P sweep (median of 3, one comm step) ===\n"
             << table;

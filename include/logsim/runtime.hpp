@@ -10,6 +10,5 @@
 #include "runtime/checkpoint.hpp"        // IWYU pragma: export
 #include "runtime/metrics.hpp"           // IWYU pragma: export
 #include "runtime/prediction_cache.hpp"  // IWYU pragma: export
-#include "runtime/sim_pool.hpp"          // IWYU pragma: export
 #include "runtime/step_cache.hpp"        // IWYU pragma: export
 #include "runtime/thread_pool.hpp"       // IWYU pragma: export

@@ -58,9 +58,9 @@ struct ReducePlan {
 
 /// One dissemination-barrier round: every processor i sends to
 /// (i + 2^round) mod P.  The edge set is a union of gcd(P, 2^round)
-/// disjoint cycles, which makes it the canonical multi-component stressor
-/// for the parallel component decomposition at large P (a P = 1M round 6
-/// splits into 64 independent rings).
+/// disjoint cycles (a P = 1M round 6 is 64 independent rings), the
+/// multi-component case of the dense-scan timing rows in
+/// bench/perf_regression --p-sweep.
 [[nodiscard]] pattern::CommPattern dissemination_round(int procs, int round,
                                                        Bytes bytes);
 

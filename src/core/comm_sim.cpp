@@ -311,8 +311,8 @@ void CommSimulator::run_into(const pattern::CommPattern& pattern,
 // ties commit in ascending processor order, round by round.  For
 // uniform-byte patterns (the only ones callers may pass) the finish
 // times, op count and send count this produces are provably identical to
-// any rng tie-break outcome; GoldenTrace.ParallelDecomposition* pins that
-// against the scalar hashes.
+// any rng tie-break outcome; GoldenTrace.DenseScan* pins that against the
+// scalar hashes.
 bool CommSimulator::run_dense_into(const pattern::CommPattern& pattern,
                                    const std::vector<Time>& ready,
                                    FinishOnlySink& sink,

@@ -53,13 +53,11 @@ struct CommSimOptions {
   /// step_delays() is evaluated once per run into scratch and added to
   /// every message's arrival time (hop latency + bandwidth sharing).
   const network::NetworkModel* net = nullptr;
-  /// DEPRECATED (kept as a shim for one release): the old per-message
-  /// latency hook that loggp::topology_latency() targeted -- topology
-  /// costs now come from `net` above.  Still honoured, added AFTER the
-  /// NetworkModel delay; the Testbed machine still uses it for its
-  /// real-network jitter draws (which must happen at send-commit time, in
-  /// schedule order, so a precomputed vector cannot replace them).
-  /// Must return >= 0.
+  /// Per-message extra latency, added AFTER the NetworkModel delay.  Its
+  /// one remaining user is the Testbed machine's real-network jitter,
+  /// whose draws must happen at send-commit time, in schedule order, so a
+  /// precomputed vector cannot replace them; topology costs come from
+  /// `net` above.  Must return >= 0.
   std::function<Time(std::size_t msg_index)> extra_latency;
 };
 
@@ -107,12 +105,12 @@ class CommSimulator {
   ///
   /// Sound ONLY for uniform-byte patterns: there the finish times are
   /// invariant under the tie-break policy (the relabel/seed-independence
-  /// invariant of pattern/canonical.hpp that the comm-step cache and the
-  /// parallel component decomposition already rely on), so this produces
-  /// exactly the finish times, op and send counts of the seeded scalar
-  /// path.  Op *order* and msg_index assignment may differ -- hence the
-  /// FinishOnlySink-only signature.  Ignores send_priority/extra_latency
-  /// (callers on this path never set them).
+  /// invariant of pattern/canonical.hpp that the comm-step cache also
+  /// relies on), so this produces exactly the finish times, op and send
+  /// counts of the seeded scalar path.  Op *order* and msg_index
+  /// assignment may differ -- hence the FinishOnlySink-only signature.
+  /// Ignores send_priority/extra_latency (callers on this path never set
+  /// them).
   ///
   /// Returns false without completing when the pattern's round structure
   /// is too sparse for scanning (few ops per distinct ctime, e.g. a

@@ -63,22 +63,6 @@ class FinishOnlySink {
   [[nodiscard]] std::size_t send_count() const { return sends_; }
   [[nodiscard]] std::size_t recv_count() const { return ops_ - sends_; }
 
-  /// Stitch primitive for the component-parallel path: folds the results
-  /// of a sub-simulation into this sink, translating its dense local
-  /// processor ids through `to_global` (local id l ran as global processor
-  /// to_global[l]).  Finish times fold with max() -- the same fold
-  /// record() performs -- so stitching component sinks recorded on
-  /// disjoint processor sets reproduces a global recording exactly.
-  void merge_mapped(const FinishOnlySink& part,
-                    const std::vector<ProcId>& to_global) {
-    for (std::size_t l = 0; l < part.finish_.size(); ++l) {
-      const auto g = static_cast<std::size_t>(to_global[l]);
-      finish_[g] = max(finish_[g], part.finish_[l]);
-    }
-    ops_ += part.ops_;
-    sends_ += part.sends_;
-  }
-
  private:
   std::vector<Time> finish_;
   std::size_t ops_ = 0;

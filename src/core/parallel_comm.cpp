@@ -1,16 +1,33 @@
 #include "core/parallel_comm.hpp"
 
 #include <cassert>
-#include <utility>
 
 #include "network/network_model.hpp"
-#include "obs/trace.hpp"
 
 namespace logsim::core {
 
+namespace {
+
+/// True when every network message carries the same byte count; stops at
+/// the first mismatch.  Self-messages are skipped, as the simulators do.
+bool uniform_network_bytes(const pattern::CommPattern& pattern) {
+  const Bytes* first = nullptr;
+  for (const auto& m : pattern.messages()) {
+    if (m.src == m.dst) continue;
+    if (first == nullptr) {
+      first = &m.bytes;
+    } else if (m.bytes != *first) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 ParallelCommSimulator::ParallelCommSimulator(loggp::Params params,
                                              ParallelCommOptions opts)
-    : params_(params), opts_(std::move(opts)) {
+    : params_(params), opts_(opts) {
   assert(params_.valid());
 }
 
@@ -18,84 +35,21 @@ ParallelRunInfo ParallelCommSimulator::run_into(
     const pattern::CommPattern& pattern, const std::vector<Time>& ready,
     std::uint64_t seed, FinishOnlySink& sink) {
   ParallelRunInfo info;
-  static const std::vector<Time> no_msg_ready;
-
-  auto run_scalar = [&] {
-    CommSimOptions o;
-    o.seed = seed;
-    o.net = opts_.net;
-    sink.reset(pattern.procs());
-    CommSimulator{params_, o}.run_into(pattern, ready, no_msg_ready, sink,
-                                       scalar_scratch_);
-  };
-
-  // A non-flat topology pins absolute processor ids into the message
-  // costs: neither the component relabeling nor the dense ordered-ties
-  // scan survives that, so the scalar path (with the net plumbed through)
-  // is the only sound one.
-  const bool topo = opts_.net != nullptr && !opts_.net->is_flat();
-  if (topo || !opts_.enabled || pattern.procs() < opts_.min_procs) {
-    run_scalar();
-    return info;
-  }
-  const int comps = split_.analyze(pattern);
-  info.components = comps;
-  // Both fast paths are sound only where finish times are provably
-  // independent of the global tie-break interleaving: uniform byte counts
-  // (see the file comment).
-  if (!split_.uniform_bytes()) {
-    run_scalar();
-    return info;
-  }
-  if (comps < 2) {
-    // Nothing to decompose, but the whole pattern still qualifies for the
-    // dense ordered-ties scan (heap- and rng-free lockstep rounds).
-    sink.reset(pattern.procs());
-    if (CommSimulator{params_}.run_dense_into(pattern, ready, sink,
-                                              scalar_scratch_)) {
-      info.dense = true;
-    } else {
-      run_scalar();  // too sparse for scanning; resets the sink itself
-    }
-    return info;
-  }
-
-  info.decomposed = true;
-  const auto nc = static_cast<std::size_t>(comps);
-  if (slots_.size() < nc) slots_.resize(nc);
-  obs::TraceSession& tracer = obs::TraceSession::global();
-
-  auto simulate_component = [&](std::size_t c) {
-    CompSlot& slot = slots_[c];
-    obs::Span span{tracer, "sim.comm_component", "core", c};
-    split_.build(pattern, static_cast<int>(c), ready, slot.sub, slot.ready);
-    slot.sink.reset(slot.sub.procs());
-    // Dense ordered-ties scan first (sound under the uniform-bytes gate
-    // above); components too sparse for scanning rerun on the heap path
-    // with a derived per-component seed -- which the finish times, again
-    // by the uniform-bytes invariant, do not depend on.
-    if (CommSimulator{params_}.run_dense_into(slot.sub, slot.ready, slot.sink,
-                                              slot.scratch)) {
-      return;
-    }
-    slot.sink.reset(slot.sub.procs());
-    CommSimOptions o;
-    o.seed = seed ^ (0x9e3779b97f4a7c15ULL * (c + 1));
-    CommSimulator{params_, o}.run_into(slot.sub, slot.ready, no_msg_ready,
-                                       slot.sink, slot.scratch);
-  };
-
-  if (opts_.parallel) {
-    opts_.parallel(nc, simulate_component);
-  } else {
-    for (std::size_t c = 0; c < nc; ++c) simulate_component(c);
-  }
-
-  // Deterministic stitch: fixed component order, disjoint processor sets.
   sink.reset(pattern.procs());
-  for (std::size_t c = 0; c < nc; ++c) {
-    sink.merge_mapped(slots_[c].sink, split_.procs_of(static_cast<int>(c)));
+  const bool flat = opts_.net == nullptr || opts_.net->is_flat();
+  if (flat && pattern.procs() >= kDenseMinProcs &&
+      uniform_network_bytes(pattern)) {
+    info.dense =
+        CommSimulator{params_}.run_dense_into(pattern, ready, sink, scratch_);
+    if (info.dense) return info;
+    sink.reset(pattern.procs());  // the scan bailed part-way through
   }
+  static const std::vector<Time> no_msg_ready;
+  CommSimOptions o;
+  o.seed = seed;
+  o.net = opts_.net;
+  CommSimulator{params_, o}.run_into(pattern, ready, no_msg_ready, sink,
+                                     scratch_);
   return info;
 }
 

@@ -5,6 +5,7 @@
 #include <utility>
 #include <variant>
 
+#include "core/parallel_comm.hpp"
 #include "network/network_model.hpp"
 #include "obs/trace.hpp"
 
@@ -107,12 +108,7 @@ Result<ProgramResult> ProgramSimulator::run_checked(const StepProgram& program,
   // consumes full traces) and keep grow-only scratch, so after the first
   // comm step the per-step simulations allocate nothing.
   FinishOnlySink sink;
-  ParallelCommOptions pc_opts;
-  pc_opts.enabled = opts_.decompose;
-  pc_opts.min_procs = opts_.decompose_min_procs;
-  pc_opts.parallel = opts_.comm_parallel;
-  pc_opts.net = opts_.net;
-  ParallelCommSimulator comm_sim{params_, pc_opts};
+  ParallelCommSimulator comm_sim{params_, ParallelCommOptions{opts_.net}};
   CommSimScratch worst_scratch;
 
   // A non-flat topology invalidates the step cache wholesale (see the
@@ -242,9 +238,9 @@ Result<ProgramResult> ProgramSimulator::run_checked(const StepProgram& program,
         WorstCaseSimulator{params_, WorstCaseOptions{step_seed, opts_.net}}.run_into(
             pattern, clock, sink, worst_scratch);
       } else {
-        // Standard schedule: the parallel simulator decomposes eligible
-        // steps into components (bit-identical to scalar) and falls back
-        // to the scalar Figure-2 loop otherwise; it resets the sink.
+        // Standard schedule: the dispatcher runs the dense scan where it
+        // is sound (bit-identical to scalar) and the scalar Figure-2 loop
+        // otherwise; it resets the sink.
         comm_sim.run_into(pattern, clock, step_seed, sink);
       }
       result.comm_ops += sink.op_count();

@@ -14,7 +14,6 @@
 
 #include "core/comm_sim.hpp"
 #include "core/cost_table.hpp"
-#include "core/parallel_comm.hpp"
 #include "core/step_cache.hpp"
 #include "core/step_program.hpp"
 #include "core/worst_case.hpp"
@@ -54,16 +53,6 @@ struct ProgramSimOptions {
   /// cache-transparent: the slices are bit-identical with the step cache
   /// on or off.  nullptr (the default) records nothing.
   obs::SimTraceRecorder* sim_trace = nullptr;
-  /// Component-parallel decomposition of large uniform-byte comm steps
-  /// under the standard schedule (see core/parallel_comm.hpp).  Finish
-  /// times are bit-identical with decomposition on or off -- these knobs
-  /// only trade wall-clock.  `comm_parallel` is the executor for component
-  /// simulations (runtime::sim_parallel_for() for the shared pool; empty =
-  /// components run sequentially); `decompose` maps the
-  /// LOGSIM_NO_DECOMPOSE escape hatch.
-  bool decompose = true;
-  int decompose_min_procs = 2048;
-  core::ParallelFor comm_parallel;
   /// Cooperative cancellation, polled between simulation steps; the
   /// default token is inert.  Only run_checked() honours it.
   fault::CancelToken cancel;

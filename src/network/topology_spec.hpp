@@ -48,8 +48,8 @@ struct TopologySpec {
 
   /// Grid extents for mesh/torus: {rows, cols, depth}.  depth is 1 for the
   /// 2-D shapes.  Processor id = (row * cols + col) * depth + layer --
-  /// row-major, matching the historical PacketNetwork / loggp::Mesh2D
-  /// layout for the 2-D case.
+  /// row-major, matching the historical PacketNetwork layout for the 2-D
+  /// case.
   std::array<int, 3> dims = {0, 0, 1};
 
   /// Fat-tree level descriptors, bottom-most level first.
@@ -57,8 +57,7 @@ struct TopologySpec {
   std::vector<int> up;    ///< parallel uplinks / switch replicas per level
 
   /// Extra latency charged per switch hop beyond the first (the first hop
-  /// is already covered by the LogGP L term).  Matches the legacy
-  /// loggp::topology_latency convention: extra = (hops - 1) * per_hop.
+  /// is already covered by the LogGP L term): extra = (hops - 1) * per_hop.
   Time per_hop{1.5};
 
   /// Gap per byte on a shared link, used by the bandwidth-sharing term;

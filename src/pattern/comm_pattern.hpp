@@ -39,14 +39,6 @@ class CommPattern {
   /// skip them (local memory copies), the Testbed machine charges them.
   void add(ProcId src, ProcId dst, Bytes bytes, std::int64_t tag = 0);
 
-  /// Re-initializes to an empty pattern over `procs` processors, keeping
-  /// the message storage's capacity -- the scratch-reuse primitive for
-  /// code that rebuilds patterns per step (component sub-patterns).
-  void reset(int procs) {
-    procs_ = procs;
-    messages_.clear();
-  }
-
   [[nodiscard]] int procs() const { return procs_; }
   [[nodiscard]] const std::vector<Message>& messages() const { return messages_; }
   [[nodiscard]] std::size_t size() const { return messages_.size(); }

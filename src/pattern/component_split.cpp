@@ -1,7 +1,5 @@
 #include "pattern/component_split.hpp"
 
-#include <cassert>
-
 namespace logsim::pattern {
 
 ProcId ComponentSplit::find_root(ProcId p) {
@@ -18,18 +16,13 @@ ProcId ComponentSplit::find_root(ProcId p) {
 
 int ComponentSplit::analyze(const CommPattern& p) {
   const auto n = static_cast<std::size_t>(p.procs());
-  if (parent_.size() < n) parent_.resize(n);
-  if (component_of_.size() < n) component_of_.resize(n);
-  if (local_id_.size() < n) local_id_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    parent_[i] = static_cast<ProcId>(i);
-    component_of_[i] = kNoComponent;
-    local_id_[i] = kNoProc;
-  }
+  parent_.assign(n, kNoProc);
 
-  // Pass 1: union the endpoints of every network message.
+  // One pass: every newly seen endpoint opens a component of its own and
+  // every union of two distinct roots merges two into one.
   uniform_ = true;
   net_msgs_ = 0;
+  count_ = 0;
   Bytes first_bytes{0};
   for (const auto& m : p.messages()) {
     if (m.src == m.dst) continue;
@@ -39,60 +32,20 @@ int ComponentSplit::analyze(const CommPattern& p) {
       uniform_ = false;
     }
     ++net_msgs_;
+    for (const ProcId e : {m.src, m.dst}) {
+      if (parent_[static_cast<std::size_t>(e)] == kNoProc) {
+        parent_[static_cast<std::size_t>(e)] = e;
+        ++count_;
+      }
+    }
     const ProcId a = find_root(m.src);
     const ProcId b = find_root(m.dst);
-    if (a != b) parent_[static_cast<std::size_t>(a)] = b;
-  }
-
-  // Pass 2: number components in first-appearance order of the message
-  // list and assign dense local ids in the same order (sender before
-  // receiver) -- deterministic functions of the pattern alone.
-  count_ = 0;
-  for (const auto& m : p.messages()) {
-    if (m.src == m.dst) continue;
-    const ProcId root = find_root(m.src);
-    std::int32_t c = component_of_[static_cast<std::size_t>(root)];
-    if (c == kNoComponent) {
-      c = count_++;
-      component_of_[static_cast<std::size_t>(root)] = c;
-      if (comp_procs_.size() < static_cast<std::size_t>(count_)) {
-        comp_procs_.emplace_back();
-        comp_msgs_.push_back(0);
-      }
-      comp_procs_[static_cast<std::size_t>(c)].clear();
-      comp_msgs_[static_cast<std::size_t>(c)] = 0;
-    }
-    ++comp_msgs_[static_cast<std::size_t>(c)];
-    for (const ProcId e : {m.src, m.dst}) {
-      auto& comp = component_of_[static_cast<std::size_t>(e)];
-      if (comp == kNoComponent || local_id_[static_cast<std::size_t>(e)] == kNoProc) {
-        comp = c;
-        auto& members = comp_procs_[static_cast<std::size_t>(c)];
-        local_id_[static_cast<std::size_t>(e)] =
-            static_cast<ProcId>(members.size());
-        members.push_back(e);
-      }
+    if (a != b) {
+      parent_[static_cast<std::size_t>(a)] = b;
+      --count_;
     }
   }
   return count_;
-}
-
-void ComponentSplit::build(const CommPattern& p, int c,
-                           const std::vector<Time>& ready, CommPattern& out,
-                           std::vector<Time>& sub_ready) const {
-  assert(c >= 0 && c < count_);
-  const auto& members = comp_procs_[static_cast<std::size_t>(c)];
-  out.reset(static_cast<int>(members.size()));
-  for (const auto& m : p.messages()) {
-    if (m.src == m.dst) continue;
-    if (component_of_[static_cast<std::size_t>(m.src)] != c) continue;
-    out.add(local_id_[static_cast<std::size_t>(m.src)],
-            local_id_[static_cast<std::size_t>(m.dst)], m.bytes, m.tag);
-  }
-  sub_ready.resize(members.size());
-  for (std::size_t l = 0; l < members.size(); ++l) {
-    sub_ready[l] = ready[static_cast<std::size_t>(members[l])];
-  }
 }
 
 }  // namespace logsim::pattern

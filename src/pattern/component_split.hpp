@@ -1,24 +1,16 @@
 #pragma once
-// Connected-component decomposition of a communication pattern.
+// Connected-component count of a communication pattern.
 //
 // Two processors belong to the same component when a chain of network
 // messages links them (direction ignored).  Messages never cross
-// components, so under the LogGP model the components of a communication
-// step are causally independent sub-simulations -- the structural fact the
-// parallel mega-scale path (core/parallel_comm.hpp) exploits.
-//
-// The decomposition follows the repo's canonicalization discipline
-// (pattern/canonical.hpp): components are numbered in order of first
-// appearance in the network-message list, and within a component the
-// processors get dense local ids in first-appearance order (senders before
-// receivers, list order).  Both orders are functions of the pattern alone,
-// so the decomposition -- and everything stitched back from it -- is
-// deterministic regardless of how many threads later simulate the pieces.
+// components, so the count says how many causally independent pieces a
+// communication step has -- a structural figure logbench's traced run
+// reports as pattern.components.  No simulator uses it.
 //
 // All state is grow-only scratch: a warmed ComponentSplit re-analyzes
 // patterns of similar size without allocating.
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "pattern/comm_pattern.hpp"
@@ -35,56 +27,20 @@ class ComponentSplit {
 
   [[nodiscard]] int count() const { return count_; }
 
-  /// True when every network message carries the same byte count -- the
-  /// precondition for seed-independent (hence parallelizable) standard
-  /// simulation; computed during the same walk (see pattern/canonical.hpp
-  /// for the invariant).
+  /// True when every network message carries the same byte count (see
+  /// pattern/canonical.hpp for why that matters), computed during the
+  /// same walk.
   [[nodiscard]] bool uniform_bytes() const { return uniform_; }
 
   [[nodiscard]] std::size_t network_messages() const { return net_msgs_; }
-
-  /// Component of each original processor (kNoComponent for processors
-  /// with no network messages).  Sized to the analyzed pattern's procs().
-  [[nodiscard]] const std::vector<std::int32_t>& component_of() const {
-    return component_of_;
-  }
-  static constexpr std::int32_t kNoComponent = -1;
-
-  /// Participating processors of component `c`, in first-appearance order;
-  /// element l is the original id of the component's local processor l.
-  [[nodiscard]] const std::vector<ProcId>& procs_of(int c) const {
-    return comp_procs_[static_cast<std::size_t>(c)];
-  }
-
-  /// Local (dense, per-component) id of an original processor.
-  /// Meaningful only for participants.
-  [[nodiscard]] ProcId local_id(ProcId p) const {
-    return local_id_[static_cast<std::size_t>(p)];
-  }
-
-  /// Network-message count of component `c` (capacity hint for build()).
-  [[nodiscard]] std::size_t messages_of(int c) const {
-    return comp_msgs_[static_cast<std::size_t>(c)];
-  }
-
-  /// Materializes the sub-pattern of component `c` of the last analyzed
-  /// pattern into `out` (endpoints relabeled to local ids, tags preserved,
-  /// message order preserved) and the matching per-local-processor slice
-  /// of `ready` into `sub_ready`.  Reuses the capacity of both outputs.
-  void build(const CommPattern& p, int c, const std::vector<Time>& ready,
-             CommPattern& out, std::vector<Time>& sub_ready) const;
 
  private:
   ProcId find_root(ProcId p);
 
   int count_ = 0;
-  std::vector<ProcId> parent_;              // union-find over original ids
-  std::vector<std::int32_t> component_of_;  // original proc -> component
-  std::vector<ProcId> local_id_;            // original proc -> local id
-  /// Outer vector is grow-only (count_ tracks the live prefix) so inner
-  /// vectors keep their warmed capacity across analyze() calls.
-  std::vector<std::vector<ProcId>> comp_procs_;
-  std::vector<std::size_t> comp_msgs_;
+  /// Union-find over original ids; kNoProc marks a processor no network
+  /// message has touched yet.
+  std::vector<ProcId> parent_;
   bool uniform_ = true;
   std::size_t net_msgs_ = 0;
 };

@@ -23,7 +23,6 @@
 #include "network/network_model.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
-#include "runtime/sim_pool.hpp"
 
 namespace logsim::serve {
 
@@ -322,10 +321,6 @@ Server::Server(Config config)
   // pool: size it like the worker fleet so folding N concurrent singles
   // into one batch keeps the parallelism N workers alone provided.
   pc.threads = worker_count_;
-  if (config_.sim_threads > 1) {
-    sim_pool_ = std::make_unique<runtime::ThreadPool>(config_.sim_threads);
-    pc.sim.comm_parallel = runtime::pool_parallel(*sim_pool_);
-  }
   pc.cache = &prediction_cache_;
   pc.step_cache = &step_cache_;
   pc.metrics = metrics_;

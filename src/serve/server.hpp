@@ -18,8 +18,7 @@
 //     micro-batching, Config::coalesce_max / coalesce_window): a group
 //     of one runs predict_one exactly as before; concurrent singles
 //     from different connections fold into one BatchPredictor
-//     predict_all call that shares parse/dedup work and the inner
-//     simulation pool;
+//     predict_all call that shares parse/dedup work;
 //   * requests either carry program text (parsed per request) or a
 //     registered-program handle (REGISTER verb, ProgramRegistry): the
 //     handle path skips parse + canonicalize + hash entirely and
@@ -62,7 +61,6 @@
 #include "runtime/batch_predictor.hpp"
 #include "runtime/prediction_cache.hpp"
 #include "runtime/step_cache.hpp"
-#include "runtime/thread_pool.hpp"
 #include "serve/registry.hpp"
 #include "serve/wire.hpp"
 
@@ -81,11 +79,6 @@ class Server {
     /// max(1, hardware_concurrency / 4).  Connections are sharded
     /// round-robin at accept time and never migrate.
     std::size_t reactors = 0;
-    /// Inner simulation threads for a single prediction: >1 builds a
-    /// dedicated pool and runs each job's communication phase with
-    /// ParallelCommSimulator's component decomposition on it.  1 keeps
-    /// every simulation single-threaded (bit-identical either way).
-    std::size_t sim_threads = 1;
     /// Cross-connection micro-batching: a worker pops up to this many
     /// queued requests as one group and predicts them with a single
     /// BatchPredictor batch.  1 disables coalescing.
@@ -188,9 +181,6 @@ class Server {
   runtime::SharedStepCache step_cache_;
   ProgramRegistry registry_;
   obs::metrics::Registry* metrics_;
-  // Declared before predictor_: jobs may borrow sim_pool_ as their
-  // comm-phase executor, so the predictor must be destroyed first.
-  std::unique_ptr<runtime::ThreadPool> sim_pool_;
   std::unique_ptr<runtime::BatchPredictor> predictor_;
   std::unique_ptr<Scheduler> scheduler_;
 

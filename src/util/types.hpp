@@ -79,7 +79,7 @@ using ProcId = std::int32_t;
 inline constexpr ProcId kNoProc = -1;
 
 /// Dense unsigned processor index used by the large-P simulation hot path
-/// (structure-of-arrays scratch, CSR send/inbox arrays, component lists).
+/// (structure-of-arrays scratch, CSR send/inbox arrays).
 /// 32 bits keep the flat arrays half the size of size_t at P = 1M while
 /// still covering every representable ProcId.
 using ProcIndex = std::uint32_t;

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <variant>
 #include <vector>
 
 #include "cannon/cannon.hpp"
@@ -31,8 +32,6 @@
 #include "pattern/builders.hpp"
 #include "pattern/component_split.hpp"
 #include "stencil/stencil.hpp"
-#include "runtime/sim_pool.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace logsim::core {
@@ -193,7 +192,7 @@ std::uint64_t hash_finish(const FinishOnlySink& sink) {
 
 // A uniform-byte pattern over `procs` processors that splits into many
 // independent components: disjoint 8-rings over the lower half, exchange
-// pairs over the upper half.  Used by the decomposition parity tests.
+// pairs over the upper half.  Used by the dense-scan parity tests.
 pattern::CommPattern multi_component_mix(int procs, Bytes bytes) {
   pattern::CommPattern p{procs};
   for (int base = 0; base + 8 <= procs / 2; base += 8) {
@@ -283,7 +282,7 @@ TEST(GoldenTrace, WorstCaseLargeRandom) {
 }
 
 TEST(GoldenTrace, MultiComponentMixFinishTimes) {
-  // Scalar reference for the decomposition parity suite: finish times and
+  // Heap-loop reference for the dense-scan parity suite: finish times and
   // op counts of the multi-component mix at P=4096, staggered ready.
   const auto pat = multi_component_mix(4096, Bytes{128});
   const auto ready = staggered_ready(4096, 7, 0.5);
@@ -297,34 +296,21 @@ TEST(GoldenTrace, MultiComponentMixFinishTimes) {
   EXPECT_EQ(hash_finish(sink), 0x50132c889c3d7b5dULL);
 }
 
-// --- parallel component decomposition ------------------------------------
-// The multi-component mix at P=4096 splits into 256 disjoint 8-rings plus
-// 1024 exchange pairs.  Uniform bytes make the standard-schedule finish
-// times seed-independent (pattern/canonical.hpp), so the decomposed runs
-// must reproduce the scalar pinned hash exactly -- op counts included.
+// --- whole-pattern dense scan vs the heap loop ---------------------------
+// Uniform bytes make the standard-schedule finish times independent of
+// the tie-break policy (pattern/canonical.hpp), so ParallelCommSimulator's
+// dense ordered-ties scan must reproduce the seeded heap loop exactly --
+// finish times, op and send counts -- on every input below.
 
 TEST(GoldenTrace, ComponentSplitStructure) {
+  // The multi-component mix at P=4096 splits into 256 disjoint 8-rings
+  // plus 1024 exchange pairs.
   const auto pat = multi_component_mix(4096, Bytes{128});
   pattern::ComponentSplit split;
   EXPECT_EQ(split.analyze(pat), 256 + 1024);
+  EXPECT_EQ(split.count(), 256 + 1024);
   EXPECT_TRUE(split.uniform_bytes());
   EXPECT_EQ(split.network_messages(), pat.size());
-
-  // Every processor belongs to exactly one component, members are listed
-  // in first-appearance order, and local ids round-trip.
-  std::size_t members_total = 0;
-  std::size_t messages_total = 0;
-  for (int c = 0; c < split.count(); ++c) {
-    const auto& procs = split.procs_of(c);
-    members_total += procs.size();
-    messages_total += split.messages_of(c);
-    for (std::size_t l = 0; l < procs.size(); ++l) {
-      EXPECT_EQ(split.component_of()[static_cast<std::size_t>(procs[l])], c);
-      EXPECT_EQ(split.local_id(procs[l]), static_cast<ProcId>(l));
-    }
-  }
-  EXPECT_EQ(members_total, 4096u);  // no isolated processors in this mix
-  EXPECT_EQ(messages_total, pat.size());
 }
 
 TEST(GoldenTrace, ComponentSplitDisseminationRound) {
@@ -336,36 +322,17 @@ TEST(GoldenTrace, ComponentSplitDisseminationRound) {
 }
 
 TEST(GoldenTrace, ParallelDecompositionSequentialBitIdentical) {
-  // Decomposed but executed sequentially (no executor): exercises the
-  // component build/stitch machinery alone.
+  // Named for the component-decomposition path it used to pin.  The same
+  // multi-component mix, ready times and seed now run through the
+  // whole-pattern dense scan, which must land on the heap loop's pinned
+  // hash.
   const auto pat = multi_component_mix(4096, Bytes{128});
   const auto ready = staggered_ready(4096, 7, 0.5);
-  ParallelCommOptions opts;
-  opts.min_procs = 2;
-  ParallelCommSimulator sim{loggp::presets::meiko_cs2(4096), opts};
+  ParallelCommSimulator sim{loggp::presets::meiko_cs2(4096)};
   FinishOnlySink sink;
   const auto info = sim.run_into(pat, ready, /*seed=*/71, sink);
-  EXPECT_TRUE(info.decomposed);
-  EXPECT_EQ(info.components, 256 + 1024);
+  EXPECT_TRUE(info.dense);
   EXPECT_EQ(hash_finish(sink), 0x50132c889c3d7b5dULL);
-}
-
-TEST(GoldenTrace, ParallelDecompositionPooledBitIdentical) {
-  // Same run on a real thread pool: the hash must not depend on the
-  // execution interleaving.  This is the LOGSIM_SANITIZE=thread target.
-  const auto pat = multi_component_mix(4096, Bytes{128});
-  const auto ready = staggered_ready(4096, 7, 0.5);
-  runtime::ThreadPool pool{4};
-  ParallelCommOptions opts;
-  opts.min_procs = 2;
-  opts.parallel = runtime::pool_parallel(pool);
-  ParallelCommSimulator sim{loggp::presets::meiko_cs2(4096), opts};
-  FinishOnlySink sink;
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    const auto info = sim.run_into(pat, ready, /*seed=*/71, sink);
-    EXPECT_TRUE(info.decomposed);
-    EXPECT_EQ(hash_finish(sink), 0x50132c889c3d7b5dULL);
-  }
 }
 
 TEST(GoldenTrace, ParallelFallsBackOnNonUniformBytes) {
@@ -388,12 +355,10 @@ TEST(GoldenTrace, ParallelFallsBackOnNonUniformBytes) {
   expect.reset(4096);
   scalar.run_into(pat, ready, {}, expect, scratch);
 
-  ParallelCommOptions opts;
-  opts.min_procs = 2;
-  ParallelCommSimulator sim{loggp::presets::meiko_cs2(4096), opts};
+  ParallelCommSimulator sim{loggp::presets::meiko_cs2(4096)};
   FinishOnlySink sink;
   const auto info = sim.run_into(pat, ready, /*seed=*/5, sink);
-  EXPECT_FALSE(info.decomposed);
+  EXPECT_FALSE(info.dense);
   EXPECT_EQ(hash_finish(sink), hash_finish(expect));
 }
 
@@ -411,14 +376,10 @@ TEST(GoldenTrace, DenseScanMatchesScalarOnSingleComponent) {
   expect.reset(4096);
   scalar.run_into(pat, ready, {}, expect, scratch);
 
-  ParallelCommOptions opts;
-  opts.min_procs = 2;
-  ParallelCommSimulator sim{loggp::presets::meiko_cs2(4096), opts};
+  ParallelCommSimulator sim{loggp::presets::meiko_cs2(4096)};
   FinishOnlySink sink;
   const auto info = sim.run_into(pat, ready, /*seed=*/21, sink);
-  EXPECT_FALSE(info.decomposed);
   EXPECT_TRUE(info.dense);
-  EXPECT_EQ(info.components, 1);
   EXPECT_EQ(hash_finish(sink), hash_finish(expect));
 }
 
@@ -441,13 +402,42 @@ TEST(GoldenTrace, DenseScanMatchesScalarOnStencilHalo) {
   expect.reset(4096);
   scalar.run_into(pat, ready, {}, expect, scratch);
 
-  ParallelCommOptions opts;
-  opts.min_procs = 2;
-  ParallelCommSimulator sim{loggp::presets::meiko_cs2(4096), opts};
+  ParallelCommSimulator sim{loggp::presets::meiko_cs2(4096)};
   FinishOnlySink sink;
   const auto info = sim.run_into(pat, ready, /*seed=*/97, sink);
   EXPECT_TRUE(info.dense);
   EXPECT_EQ(hash_finish(sink), hash_finish(expect));
+}
+
+TEST(GoldenTrace, DenseScanMatchesScalarOnAllgatherDoubling) {
+  // Every round of a P=2048 recursive-doubling allgather, the smallest
+  // flat step the dispatcher scans, each round entered at the clocks the
+  // previous one left behind.
+  const auto program = collective::allgather_doubling(2048, Bytes{256});
+  const auto params = loggp::presets::meiko_cs2(2048);
+  std::vector<Time> ready(2048, Time::zero());
+  ParallelCommSimulator sim{params};
+  CommSimScratch scratch;
+  FinishOnlySink expect;
+  FinishOnlySink sink;
+  std::size_t rounds = 0;
+  for (std::size_t s = 0; s < program.size(); ++s) {
+    const auto* comm = std::get_if<CommStep>(&program.step(s));
+    if (comm == nullptr) continue;
+    CommSimOptions scalar_opts;
+    scalar_opts.seed = 40 + s;
+    expect.reset(2048);
+    CommSimulator{params, scalar_opts}.run_into(comm->pattern, ready, {},
+                                                expect, scratch);
+    const auto info =
+        sim.run_into(comm->pattern, ready, scalar_opts.seed, sink);
+    EXPECT_TRUE(info.dense) << "round " << rounds;
+    EXPECT_EQ(sink.op_count(), expect.op_count()) << "round " << rounds;
+    EXPECT_EQ(hash_finish(sink), hash_finish(expect)) << "round " << rounds;
+    ready = expect.finish_times();
+    ++rounds;
+  }
+  EXPECT_EQ(rounds, 11u);
 }
 
 TEST(GoldenTrace, DenseScanBailsOnSerializedPattern) {
@@ -466,9 +456,7 @@ TEST(GoldenTrace, DenseScanBailsOnSerializedPattern) {
   expect.reset(4096);
   scalar.run_into(pat, ready, {}, expect, scratch);
 
-  ParallelCommOptions opts;
-  opts.min_procs = 2;
-  ParallelCommSimulator sim{loggp::presets::meiko_cs2(4096), opts};
+  ParallelCommSimulator sim{loggp::presets::meiko_cs2(4096)};
   FinishOnlySink sink;
   const auto info = sim.run_into(pat, ready, /*seed=*/3, sink);
   EXPECT_FALSE(info.dense);

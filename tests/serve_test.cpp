@@ -1012,26 +1012,6 @@ TEST_F(ServeTest, MultipleReactorsShardConnectionsCorrectly) {
   EXPECT_EQ(server_->connection_count(), 0u);
 }
 
-TEST_F(ServeTest, SimThreadPoolPredictionsAreBitIdentical) {
-  serve::Server::Config config;
-  config.sim_threads = 2;
-  start(config);
-  serve::Client client = connect();
-  serve::PredictRequest req;
-  req.program_text = sample_program(31);
-  const Result<serve::PredictReply> reply = client.predict(req);
-  ASSERT_TRUE(reply.ok()) << reply.status().to_string();
-  // The component-decomposition pool must not change the prediction: the
-  // simulation is deterministic whatever the parallel split.
-  const runtime::JobResult direct = direct_predict(sample_program(31),
-                                                   "meiko", 1);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_TRUE(same_bits(reply->total_us, direct.value().total().us()));
-  EXPECT_TRUE(same_bits(reply->comm_us, direct.value().comm().us()));
-  EXPECT_TRUE(same_bits(reply->comm_worst_us,
-                        direct.value().comm_worst().us()));
-}
-
 // --- protocol v3: the TOPOLOGY field (ISSUE 10) ---------------------------
 
 TEST(ServeWire, PredictRequestTopologyRoundTripsBothCodecs) {

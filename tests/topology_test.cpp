@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "cannon/cannon.hpp"
 #include "core/comm_sim.hpp"
 #include "core/program_sim.hpp"
 #include "core/worst_case.hpp"
@@ -59,8 +61,30 @@ TEST(TopologySpec, TorusHopsWrapAround) {
   const TopologySpec mesh = TopologySpec::mesh(4, 4);
   EXPECT_EQ(mesh.hops(0, 3), 3);  // no wrap
   EXPECT_EQ(mesh.hops(0, 15), 6);
+  const TopologySpec mesh34 = TopologySpec::mesh(3, 4);  // ids row-major
+  EXPECT_EQ(mesh34.hops(0, 4), 1);   // one row down
+  EXPECT_EQ(mesh34.hops(0, 11), 5);  // corner to corner: 2 + 3
+  EXPECT_EQ(mesh34.hops(11, 0), 5);  // symmetric
   const TopologySpec t3 = TopologySpec::torus(2, 2, 2);
   EXPECT_EQ(t3.hops(0, 7), 3);  // one hop per dimension
+}
+
+TEST(TopologySpec, CannonRotationsAreSingleHopOnTorus) {
+  // Every rotation message of Cannon's algorithm is nearest-neighbour on
+  // the matching q x q torus.
+  const auto program = cannon::build_cannon_program(
+      cannon::CannonConfig{.n = 96, .block = 12, .q = 4});
+  const TopologySpec torus = TopologySpec::torus(4, 4);
+  std::size_t messages = 0;
+  for (std::size_t s = 0; s < program.size(); ++s) {
+    if (const auto* c = std::get_if<core::CommStep>(&program.step(s))) {
+      for (const auto& m : c->pattern.messages()) {
+        EXPECT_EQ(torus.hops(m.src, m.dst), 1);
+        ++messages;
+      }
+    }
+  }
+  EXPECT_GT(messages, 0u);
 }
 
 TEST(TopologySpec, FatTreeHopsAreTwiceTheLcaLevel) {
@@ -222,6 +246,25 @@ TEST(NetworkModelTest, LatencyChargesExtraHopsOnly) {
   EXPECT_DOUBLE_EQ(net->latency(0, 1, Bytes{100}).us(), 0.0);
   EXPECT_DOUBLE_EQ(net->latency(0, 5, Bytes{100}).us(), 2.0);
   EXPECT_DOUBLE_EQ(net->latency(3, 3, Bytes{100}).us(), 0.0);
+}
+
+TEST(NetworkModelTest, ScatterSlowsFromFlatToTorusToMesh) {
+  // A flat broadcast from processor 0 pays more hops on a torus than on
+  // the crossbar, and more again on the mesh, which has no wraparound.
+  const auto pat = pattern::flat_broadcast(16, Bytes{112});
+  const loggp::Params params = loggp::presets::meiko_cs2(16);
+  auto makespan = [&](TopologySpec spec) {
+    spec.per_hop = Time{4.0};
+    const auto net = NetworkModel::create(spec);
+    core::CommSimOptions opts;
+    opts.net = net.get();
+    return core::CommSimulator{params, opts}.run(pat).makespan().us();
+  };
+  const double flat = makespan(TopologySpec::flat());
+  const double torus = makespan(TopologySpec::torus(4, 4));
+  const double mesh = makespan(TopologySpec::mesh(4, 4));
+  EXPECT_LE(flat, torus);
+  EXPECT_LE(torus, mesh);
 }
 
 TEST(NetworkModelTest, StepDelaysWorstCaseDominatesStandard) {

@@ -47,7 +47,7 @@ done
 echo "==> [headers] all public headers self-sufficient"
 
 # Serve smoke: start the daemon on an ephemeral port -- with two epoll
-# reactors, a simulation pool and a coalescing window, so the DESIGN.md
+# reactors and a coalescing window, so the DESIGN.md
 # §14 paths are live -- then run one scripted client session (ping,
 # predict, batch, stats), a protocol-v2 pass (--binary predict must print
 # the same numbers as the v1 text predict), a registered-handle pass
@@ -81,7 +81,7 @@ compute
 item 1 0 16
 item 3 0 32
 EOF
-"$serve_dir/tools/logsimd" --port 0 --reactors 2 --sim-threads 2 \
+"$serve_dir/tools/logsimd" --port 0 --reactors 2 \
   --coalesce-window-us 100 > "$smoke_tmp/logsimd.log" 2>&1 &
 logsimd_pid=$!
 port=""

@@ -28,10 +28,6 @@
 // --no-step-cache (or LOGSIM_STEP_CACHE=0 in the environment) disables the
 // comm-step memoization cache in predict / predict-ge; predictions are
 // bit-identical either way.
-// --sim-threads N (or LOGSIM_SIM_THREADS=N) sizes the component-simulation
-// pool for mega-scale comm steps (0/1 = sequential); --no-decompose (or
-// LOGSIM_NO_DECOMPOSE=1) disables component decomposition entirely.
-// Either way predictions are bit-identical; the knobs trade wall-clock.
 // --trace-out FILE (or --trace-out=FILE, or LOGSIM_TRACE=FILE in the
 // environment) makes predict / predict-ge write a Chrome trace-event JSON
 // file: wall-clock tracks for the process plus one track per simulated
@@ -96,11 +92,6 @@ Flags parse_flags(int argc, char** argv, int first) {
       flags.worst = true;
     } else if (arg == "--no-step-cache") {
       flags.step_cache = false;
-    } else if (arg == "--no-decompose") {
-      runtime::set_sim_decompose(false);
-    } else if (arg == "--sim-threads" && i + 1 < argc) {
-      runtime::set_sim_thread_count(
-          static_cast<std::size_t>(std::atoll(argv[++i])));
     } else if (arg == "--params" && i + 1 < argc) {
       flags.params_text = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
@@ -262,8 +253,6 @@ int cmd_predict_ge(const Flags& flags) {
       runtime::SharedStepCache::config_from_env()};
   core::ProgramSimOptions opts;
   if (flags.step_cache) opts.step_cache = &step_cache;
-  opts.decompose = runtime::sim_decompose_enabled();
-  opts.comm_parallel = runtime::sim_parallel_for();
   obs::SimTraceRecorder recorder;
   TraceScope trace{flags.trace_out, &recorder};
   if (trace.active()) opts.sim_trace = &recorder;
@@ -386,8 +375,6 @@ int cmd_predict(const Flags& flags) {
   opts.seed = flags.seed;
   if (net != nullptr) opts.net = net.get();
   if (flags.step_cache) opts.step_cache = &step_cache;
-  opts.decompose = runtime::sim_decompose_enabled();
-  opts.comm_parallel = runtime::sim_parallel_for();
   obs::SimTraceRecorder recorder;
   TraceScope trace{flags.trace_out, &recorder};
   if (trace.active()) opts.sim_trace = &recorder;

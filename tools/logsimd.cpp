@@ -1,7 +1,7 @@
 // logsimd -- the logsim prediction daemon (DESIGN.md §12).
 //
 //   logsimd [--port N] [--host ADDR] [--workers N] [--reactors N]
-//           [--sim-threads N] [--coalesce-max N] [--coalesce-window-us N]
+//           [--coalesce-max N] [--coalesce-window-us N]
 //           [--max-inflight N] [--deadline-ms N] [--cache-mb N]
 //
 // Binds a serve::Server, prints "listening on HOST:PORT" (port 0 resolves
@@ -12,10 +12,9 @@
 // All connections share one BatchPredictor: the prediction cache and the
 // comm-step cache are process-wide, so a program predicted by one client
 // is a memory-speed cache hit for every other client.  --reactors shards
-// connections across N epoll threads; --sim-threads >1 simulates each
-// job's communication phase on a component-decomposition pool;
-// --coalesce-max / --coalesce-window-us tune the cross-connection
-// micro-batching (DESIGN.md §14).
+// connections across N epoll threads; --coalesce-max /
+// --coalesce-window-us tune the cross-connection micro-batching
+// (DESIGN.md §14).
 
 #include <csignal>
 #include <cstdlib>
@@ -31,7 +30,7 @@ namespace {
 
 void usage() {
   std::cerr << "usage: logsimd [--port N] [--host ADDR] [--workers N]\n"
-               "               [--reactors N] [--sim-threads N]\n"
+               "               [--reactors N]\n"
                "               [--coalesce-max N] [--coalesce-window-us N]\n"
                "               [--max-inflight N] [--deadline-ms N]\n"
                "               [--cache-mb N]\n";
@@ -52,8 +51,6 @@ int main(int argc, char** argv) {
       config.workers = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg == "--reactors" && i + 1 < argc) {
       config.reactors = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--sim-threads" && i + 1 < argc) {
-      config.sim_threads = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg == "--coalesce-max" && i + 1 < argc) {
       config.coalesce_max = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg == "--coalesce-window-us" && i + 1 < argc) {
