@@ -32,7 +32,8 @@
 // halo-exchange CommStep at P = 64 / 1k / 64k / 1M (the mega-scale
 // acceptance numbers recorded in EXPERIMENTS.md), plus a P = 1M
 // 64-component dissemination round on the seeded heap loop and on the
-// dense ordered-ties scan.
+// dense ordered-ties scan, plus the worst-case schedule on the halo at
+// P = 64 / 1k / 16k / 64k / 1M and on an allgather round at P = 2k / 16k.
 //
 // --no-step-cache (or LOGSIM_STEP_CACHE=0) disables the comm-step cache:
 // batch_ge_block_sweep then measures the uncached engine and the two
@@ -51,6 +52,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <logsim/logsim.hpp>
@@ -177,6 +179,37 @@ BenchResult bench_comm_worst_case(int procs, int messages, int iters,
       });
 }
 
+/// A P = `procs` 2-D halo exchange (16x16-cell tiles) on the flat network.
+pattern::CommPattern halo_2d(int procs) {
+  stencil::StencilConfig cfg;
+  cfg.partition = stencil::Partition::kTiles2D;
+  cfg.procs = procs;
+  const int q = static_cast<int>(std::lround(std::sqrt(double(procs))));
+  cfg.n = q * 16;
+  return stencil::halo_pattern(cfg);
+}
+
+// One worst-case halo step at P = 4096: a cyclic pattern whose rounds are
+// mostly deadlock breaks releasing one message, so a loop that scanned all
+// P processors per round would read ~1/70 of this row's value.
+BenchResult bench_comm_worst_case_halo(int procs, int iters, int samples) {
+  const auto pat = halo_2d(procs);
+  const core::WorstCaseSimulator sim{loggp::presets::meiko_cs2(procs)};
+  const std::vector<Time> ready(static_cast<std::size_t>(procs), Time::zero());
+  core::CommSimScratch scratch;
+  core::FinishOnlySink sink;
+
+  const double ops = 2.0 * static_cast<double>(pat.size()) * iters;
+  return run_bench(
+      "comm_worst_case_halo_p" + std::to_string(procs), "ops_per_sec",
+      samples, ops, [&] {
+        for (int i = 0; i < iters; ++i) {
+          sink.reset(procs);
+          sim.run_into(pat, ready, sink, scratch);
+        }
+      });
+}
+
 BenchResult bench_program_ge(int iters, int samples) {
   const auto costs = ops::analytic_cost_table();
   const auto params = loggp::presets::meiko_cs2(bench::kProcs);
@@ -263,9 +296,12 @@ BenchResult bench_step_cache(bool warmed, int iters, int samples) {
 // --p-sweep: one stencil halo CommStep per decade of P, timed standalone.
 // Each row simulates a single standard-schedule step through
 // core::ParallelCommSimulator (the unit the P=1M "< 1 s" acceptance target
-// is stated in; from P = 2048 up it takes the dense scan).  The final rows
+// is stated in; from P = 2048 up it takes the dense scan).  The next rows
 // time a P = 1M dissemination round (64 independent rings) on the seeded
 // heap loop against the dense scan -- the row that keeps the dense scan.
+// The worst-case rows run the Section-4.2 schedule on the same halo and on
+// one allgather_doubling round: cyclic steps where nearly every round is a
+// deadlock break, the shape that made a per-round O(P) scan quadratic.
 void run_p_sweep() {
   // One warm-up run (scratch growth), then the median of 3 timed runs.
   const auto time_step = [](const auto& run) {
@@ -288,12 +324,7 @@ void run_p_sweep() {
   };
 
   for (const int procs : {64, 1024, 65536, 1048576}) {
-    stencil::StencilConfig cfg;
-    cfg.partition = stencil::Partition::kTiles2D;
-    cfg.procs = procs;
-    const int q = static_cast<int>(std::lround(std::sqrt(double(procs))));
-    cfg.n = q * 16;  // 16x16-cell tiles at every P
-    const auto pat = stencil::halo_pattern(cfg);
+    const auto pat = halo_2d(procs);
     const std::vector<Time> ready(static_cast<std::size_t>(procs),
                                   Time::zero());
     core::ParallelCommSimulator sim{loggp::presets::meiko_cs2(procs)};
@@ -326,6 +357,26 @@ void run_p_sweep() {
   add_row(info.dense ? "dissemination_r6 (dense)"
                      : "dissemination_r6 (dense bailed to heap)",
           pat, dense_sec);
+
+  core::CommSimScratch worst_scratch;
+  const auto time_worst = [&](const std::string& name,
+                              const pattern::CommPattern& step) {
+    const int p = step.procs();
+    const std::vector<Time> zero(static_cast<std::size_t>(p), Time::zero());
+    const core::WorstCaseSimulator worst{loggp::presets::meiko_cs2(p)};
+    add_row(name, step, time_step([&] {
+              sink.reset(p);
+              worst.run_into(step, zero, sink, worst_scratch);
+            }));
+  };
+  for (const int p : {64, 1024, 16384, 65536, 1048576}) {
+    time_worst("stencil_halo_2d (worst)", halo_2d(p));
+  }
+  for (const int p : {2048, 16384}) {
+    const auto program = collective::allgather_doubling(p, Bytes{256});
+    time_worst("allgather_round0 (worst)",
+               std::get<core::CommStep>(program.step(0)).pattern);
+  }
 
   std::cout << "=== mega-scale P sweep (median of 3, one comm step) ===\n"
             << table;
@@ -439,6 +490,7 @@ int main(int argc, char** argv) {
   results.push_back(bench_comm_standard(64, 4096, 25 * scale, samples));
   results.push_back(bench_comm_standard(65536, 131072, 1 * scale, samples));
   results.push_back(bench_comm_worst_case(32, 2000, 50 * scale, samples));
+  results.push_back(bench_comm_worst_case_halo(4096, 10 * scale, samples));
   results.push_back(bench_program_ge(5 * scale, samples));
   if (step_cache) {
     results.push_back(bench_step_cache(/*warmed=*/false, 2 * scale, samples));

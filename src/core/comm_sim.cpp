@@ -1,12 +1,12 @@
 #include "core/comm_sim.hpp"
 
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "core/comm_sink.hpp"
+#include "core/fenwick.hpp"
 #include "core/sim_scratch.hpp"
 #include "loggp/cost.hpp"
 #include "network/network_model.hpp"
@@ -58,45 +58,15 @@ MinEntry heap_pop(std::vector<MinEntry>& h) {
 
 // --- Fenwick order statistics over the current tie group -----------------
 // The group is the `minima` array (procs tied at the minimum ctime, in
-// ascending processor order); the Fenwick tree holds one live/dead bit per
-// member.  Selecting and removing the k-th live member is O(log t), so a
-// lockstep tie of t processors costs O(t log t) to drain instead of the
-// O(t^2 log P) the reinsert-the-losers scheme paid (pop t, push back t-1,
-// every round) -- the difference between milliseconds and hours at P = 1M.
-
-std::size_t lowbit(std::size_t i) { return i & (std::size_t{0} - i); }
-
-// All-ones build: node i of a Fenwick tree over t ones covers lowbit(i)
-// elements, so its value is simply lowbit(i).  O(t), no second pass.
-void fenwick_build_ones(std::vector<std::uint32_t>& fw, std::size_t t) {
-  if (fw.size() < t + 1) fw.resize(t + 1);
-  for (std::size_t i = 1; i <= t; ++i) {
-    fw[i] = static_cast<std::uint32_t>(lowbit(i));
-  }
-}
-
-void fenwick_add(std::vector<std::uint32_t>& fw, std::size_t t, std::size_t i,
-                 std::int32_t d) {
-  for (; i <= t; i += lowbit(i)) {
-    fw[i] = static_cast<std::uint32_t>(
-        static_cast<std::int64_t>(fw[i]) + d);
-  }
-}
-
-// 0-based index of the element with 1-based rank k among the live ones:
-// the classic binary-lifting descent, O(log t).
-std::size_t fenwick_select(const std::vector<std::uint32_t>& fw, std::size_t t,
-                           std::uint64_t k) {
-  std::size_t pos = 0;
-  for (std::size_t step = std::bit_floor(t); step != 0; step >>= 1) {
-    const std::size_t next = pos + step;
-    if (next <= t && fw[next] < k) {
-      pos = next;
-      k -= fw[next];
-    }
-  }
-  return pos;
-}
+// ascending processor order); the Fenwick tree (core/fenwick.hpp) holds
+// one live/dead bit per member.  Selecting and removing the k-th live
+// member is O(log t), so a lockstep tie of t processors costs O(t log t)
+// to drain instead of the O(t^2 log P) the reinsert-the-losers scheme paid
+// (pop t, push back t-1, every round) -- the difference between
+// milliseconds and hours at P = 1M.
+using detail::fenwick_add;
+using detail::fenwick_build_ones;
+using detail::fenwick_select;
 
 }  // namespace
 

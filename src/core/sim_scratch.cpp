@@ -86,7 +86,7 @@ void CommSimScratch::prepare(const pattern::CommPattern& pattern,
   heap.clear();
   minima.clear();
   senders.clear();
-  blocked.clear();
+  drains.clear();
 }
 
 }  // namespace logsim::core

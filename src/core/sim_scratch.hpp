@@ -119,9 +119,11 @@ struct CommSimScratch {
   };
   std::vector<MinEntry> heap;
   std::vector<std::uint32_t> minima;
-  /// Fenwick (binary-indexed) tree over the current tie group, used by the
-  /// group-selection fast path for large ties: select-kth and remove in
-  /// O(log t) instead of re-heaping the whole group every draw.
+  /// Fenwick (binary-indexed) tree (core/fenwick.hpp).  The standard
+  /// algorithm keeps it over the current tie group: select-kth and remove
+  /// in O(log t) instead of re-heaping the whole group every draw.  The
+  /// worst-case algorithm keeps it over all processors, one bit per
+  /// processor with pending sends, for its deadlock-break draw.
   std::vector<std::uint32_t> fenwick;
 
   // --- topology ----------------------------------------------------------
@@ -131,9 +133,14 @@ struct CommSimScratch {
   std::vector<Time> net_delay;
 
   // --- worst-case algorithm (Section 4.2) -------------------------------
+  /// Receives performed so far per processor.
   std::vector<std::uint32_t> received;
+  /// This round's senders, ascending: processors whose receives are all
+  /// done and which still have sends.
   std::vector<std::uint32_t> senders;
-  std::vector<std::uint32_t> blocked;
+  /// Destinations this round pushed to, each listed once (by the push
+  /// that found its inbox empty); sorted before part 2 drains them.
+  std::vector<std::uint32_t> drains;
 
   /// Rebuilds all per-pattern state for a fresh run: SoA arrays at their
   /// ready times, CSR send lists, empty inbox segments sized to the exact

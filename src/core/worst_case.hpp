@@ -13,6 +13,15 @@
 // If the pattern's processor graph has a cycle, every processor on the
 // cycle waits forever; the algorithm then "performs randomly some message
 // transmissions in order to break the deadlock".
+//
+// The rounds are event-driven: a round touches only the processors it
+// sends from and drains, plus one O(log P) order-statistic draw when it is
+// a deadlock break.  With M network messages a step costs
+// O((P + M) log P): O(P) setup, an O(log P) tree update per processor
+// that runs out of sends, and a sort of each round's drained
+// destinations.  No round scans all P processors, which matters on cyclic
+// patterns (halos, rings, pairwise exchanges): there most rounds are
+// deadlock breaks releasing one message.
 
 #include <cstdint>
 

@@ -155,26 +155,35 @@ TEST(AllocCount, StandardScratchPathIsAllocationFreeAfterWarmUp) {
 }
 
 TEST(AllocCount, WorstCaseScratchPathIsAllocationFreeAfterWarmUp) {
-  const auto pat = make_workload();
-  const auto params = loggp::presets::meiko_cs2(kProcs);
-  const std::vector<Time> ready(kProcs, Time::zero());
-  const core::WorstCaseSimulator sim{params};
-
+  // The random workload mixes wide rounds with deadlock breaks.  The ring
+  // deadlocks at once and then runs a 511-round chain of single sends, so
+  // the deadlock-break tree and the per-round sender and drain lists are
+  // exercised at a P the first input never grew the scratch to.
+  const pattern::CommPattern inputs[] = {make_workload(),
+                                         pattern::ring(512, Bytes{96})};
   core::CommSimScratch scratch;
   core::FinishOnlySink sink;
-  for (int i = 0; i < 2; ++i) {
-    sink.reset(kProcs);
-    sim.run_into(pat, ready, sink, scratch);
-  }
-  const Time warm = sink.makespan();
+  for (const auto& pat : inputs) {
+    const int procs = pat.procs();
+    const auto params = loggp::presets::meiko_cs2(procs);
+    const std::vector<Time> ready(static_cast<std::size_t>(procs),
+                                  Time::zero());
+    const core::WorstCaseSimulator sim{params};
+    for (int i = 0; i < 2; ++i) {
+      sink.reset(procs);
+      sim.run_into(pat, ready, sink, scratch);
+    }
+    const Time warm = sink.makespan();
 
-  const std::size_t n = count_allocs([&] {
-    sink.reset(kProcs);
-    sim.run_into(pat, ready, sink, scratch);
-  });
-  EXPECT_EQ(n, 0u) << "worst-case hot path allocated after warm-up";
-  EXPECT_EQ(sink.makespan(), warm);
-  EXPECT_EQ(sink.op_count(), 2u * kMessages);
+    const std::size_t n = count_allocs([&] {
+      sink.reset(procs);
+      sim.run_into(pat, ready, sink, scratch);
+    });
+    EXPECT_EQ(n, 0u) << "worst-case hot path allocated after warm-up at P="
+                     << procs;
+    EXPECT_EQ(sink.makespan(), warm);
+    EXPECT_EQ(sink.op_count(), 2u * pat.size());
+  }
 }
 
 TEST(AllocCount, LegacyRunBeatsSeedBaselineFivefold) {

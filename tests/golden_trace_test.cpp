@@ -262,8 +262,9 @@ TEST(GoldenTrace, BigTieMsgReadyPath) {
 }
 
 TEST(GoldenTrace, WorstCaseLargeRingDeadlock) {
-  // Every round of a 512-ring deadlocks: the random release draw fires at
-  // scale, pinning the worst-case rng stream on the large-P path.
+  // A 512-ring deadlocks at once: the random release draw picks among all
+  // 512 processors, and the chain it starts runs 511 single-sender
+  // rounds, pinning the worst-case rng stream on the large-P path.
   const auto pat = pattern::ring(512, Bytes{96});
   const CommTrace trace =
       WorstCaseSimulator{loggp::presets::meiko_cs2(512),
@@ -279,6 +280,42 @@ TEST(GoldenTrace, WorstCaseLargeRandom) {
       WorstCaseSimulator{loggp::presets::meiko_cs2(1024),
                          WorstCaseOptions{101}}.run(pat);
   EXPECT_EQ(hash_trace(trace), 0x3880e4d1004e51c2ULL);
+}
+
+TEST(GoldenTrace, WorstCaseAllgatherRoundFatTree) {
+  // The benchmark's shaped worst-case step: the last (stride-1024) round
+  // of allgather_doubling(2048, 256 B) on the fat-tree {128,16}/{1,2} with
+  // 3 us per hop.  Pins the worst-case step_delays path at scale: every
+  // exchange pair deadlocks, so the release draw fires P/2 times.
+  const auto program = collective::allgather_doubling(2048, Bytes{256});
+  const auto* round = std::get_if<CommStep>(&program.step(10));
+  ASSERT_NE(round, nullptr);
+  auto spec = network::TopologySpec::fat_tree({128, 16}, {1, 2});
+  spec.per_hop = Time{3.0};
+  const auto net = network::NetworkModel::create(spec);
+  WorstCaseOptions opts;
+  opts.seed = 23;
+  opts.net = net.get();
+  const CommTrace trace =
+      WorstCaseSimulator{loggp::presets::meiko_cs2(2048), opts}.run(
+          round->pattern, staggered_ready(2048, 3, 1.5));
+  EXPECT_EQ(hash_trace(trace), 0x75bbcedffea9604dULL);
+}
+
+TEST(GoldenTrace, WorstCaseHaloStep) {
+  // A P = 1024 2-D halo exchange (32x32 tiles of 16x16 cells), staggered
+  // entry: most rounds are deadlock breaks releasing one message, between
+  // short cascades of at most a few senders.
+  stencil::StencilConfig cfg;
+  cfg.partition = stencil::Partition::kTiles2D;
+  cfg.procs = 1024;
+  cfg.n = 32 * 16;
+  const auto pat = stencil::halo_pattern(cfg);
+  const CommTrace trace =
+      WorstCaseSimulator{loggp::presets::meiko_cs2(1024),
+                         WorstCaseOptions{61}}.run(
+          pat, staggered_ready(1024, 5, 3.0));
+  EXPECT_EQ(hash_trace(trace), 0x19daed1b8409ea0eULL);
 }
 
 TEST(GoldenTrace, MultiComponentMixFinishTimes) {
