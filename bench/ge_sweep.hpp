@@ -4,7 +4,6 @@
 // and "measured" (Testbed) series.  Paper setup: 960x960 doubles, 8
 // processors, Meiko CS-2 LogGP parameters.
 
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -100,24 +99,15 @@ inline SweepResult run_sweep(const layout::Layout& map,
 /// Convenience overload: sweeps with a freshly configured batch predictor
 /// (hardware-concurrency threads, no whole-program cache, a sweep-local
 /// comm-step cache) -- the drop-in replacement for the historical serial
-/// signature used by the fig7/8/9 benches.
-///
-/// Set LOGSIM_CHECKPOINT=<path> to make the sweep crash-safe: finished
-/// predictions are persisted there and a rerun after a kill resumes from
-/// the checkpoint, recomputing only the missing blocks (the resumed
-/// results are bit-identical -- the checkpoint stores hexfloat).  All
-/// layouts share one file; their jobs occupy disjoint key space.
+/// signature used by the fig7/8/9 benches.  A sweep takes well under a
+/// second, so a killed run is simply run again: every job is a pure
+/// function of its inputs, and its results come back bit-identical.
 ///
 /// Set LOGSIM_STEP_CACHE=0 to disable the comm-step cache (results are
 /// bit-identical either way; the cache only changes how fast they arrive).
 inline SweepResult run_sweep(const layout::Layout& map,
                              int matrix_n = kMatrixN) {
   runtime::BatchPredictor::Config cfg;
-  if (const char* env = std::getenv("LOGSIM_CHECKPOINT");
-      env != nullptr && *env != '\0') {
-    cfg.checkpoint_path = env;
-    cfg.checkpoint_every = 1;  // a kill loses at most the in-flight jobs
-  }
   runtime::SharedStepCache step_cache;
   if (runtime::step_cache_env_enabled()) cfg.step_cache = &step_cache;
   runtime::BatchPredictor batch{cfg};

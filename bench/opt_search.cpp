@@ -2,7 +2,6 @@
 // layout over the *predicted* running times (Section 6: "this reduces to
 // a search problem").
 
-#include <cstdlib>
 #include <iostream>
 #include <stdexcept>
 
@@ -29,13 +28,6 @@ int main() {
   runtime::PredictionCache cache{{.byte_budget = 1ull << 30}};
   runtime::BatchPredictor::Config batch_cfg;
   batch_cfg.cache = &cache;
-  // LOGSIM_CHECKPOINT=<path> makes the grid crash-safe: a killed search
-  // rerun resumes from the persisted predictions bit-identically.
-  if (const char* env = std::getenv("LOGSIM_CHECKPOINT");
-      env != nullptr && *env != '\0') {
-    batch_cfg.checkpoint_path = env;
-    batch_cfg.checkpoint_every = 1;
-  }
   runtime::BatchPredictor batch{batch_cfg};
   const search::ProgramFactory factory = [](int b, const layout::Layout& l) {
     return ge::build_ge_program(ge::GeConfig{.n = bench::kMatrixN, .block = b},

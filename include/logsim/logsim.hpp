@@ -19,9 +19,9 @@
 // layer should include the narrower module header instead:
 //   <logsim/core.hpp>      simulation core: types, patterns, simulators,
 //                          Predictor
-//   <logsim/fault.hpp>     Status/Result, cancellation, retry, failpoints
+//   <logsim/fault.hpp>     Status/Result, cancellation, failpoints
 //   <logsim/obs.hpp>       tracing, profiling, metrics, trace exporters
-//   <logsim/runtime.hpp>   BatchPredictor, caches, checkpointing, pool
+//   <logsim/runtime.hpp>   BatchPredictor, caches, pool
 //   <logsim/programs.hpp>  GE / Cannon / stencil / trisolve builders,
 //                          layouts, op models, frontend, transforms
 //   <logsim/analysis.hpp>  trace analysis, bounds, fitting, search,

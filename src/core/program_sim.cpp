@@ -127,7 +127,7 @@ Result<ProgramResult> ProgramSimulator::run_checked(const StepProgram& program,
   // Observability, both timelines.  Wall-clock spans go to the global
   // trace session (one relaxed load per step when disabled); the optional
   // recorder captures the simulated-machine timeline and is cleared here
-  // so a retried job records exactly one run.
+  // so a reused recorder holds exactly one run.
   obs::TraceSession& tracer = obs::TraceSession::global();
   obs::SimTraceRecorder* const recorder = opts_.sim_trace;
   if (recorder != nullptr) recorder->clear();

@@ -4,10 +4,10 @@
 // A CancelToken is a cheap copyable handle onto a shared flag.  The
 // default-constructed token is inert (never cancelled, cancel() is a
 // no-op); CancelToken::create() makes an armed token whose copies all
-// observe the same flag.  Long-running loops (ProgramSimulator steps, the
-// batch runtime's retry loop) poll cancelled() at their step boundaries;
-// nothing is ever killed pre-emptively, so holders of borrowed pointers
-// always unwind through their own code.
+// observe the same flag.  ProgramSimulator polls cancelled() between
+// simulation steps; nothing is ever killed pre-emptively, so holders of
+// borrowed pointers always unwind through their own code.  The batch
+// runtime and the serving layer attach one token per job or request.
 
 #include <atomic>
 #include <memory>
@@ -32,35 +32,14 @@ class CancelToken {
   }
 
   [[nodiscard]] bool cancelled() const {
-    return (flag_ && flag_->load(std::memory_order_relaxed)) ||
-           (extra_ && extra_->load(std::memory_order_relaxed));
+    return flag_ && flag_->load(std::memory_order_relaxed);
   }
 
   /// True for tokens made by create() (i.e. cancellation is possible).
-  [[nodiscard]] bool armed() const {
-    return flag_ != nullptr || extra_ != nullptr;
-  }
-
-  /// A token that observes BOTH inputs: cancelled() is true as soon as
-  /// either `a` or `b` is cancelled.  Intended for pollers that must honour
-  /// two independent stop signals (a batch-wide token plus a per-job one);
-  /// cancel() on the merged token fires only `a`'s flag, so merged tokens
-  /// should be treated as read-only views.  Merging is shallow: pass plain
-  /// create() tokens, not already-merged ones (an extra flag on an input
-  /// would be dropped).
-  [[nodiscard]] static CancelToken merged(const CancelToken& a,
-                                          const CancelToken& b) {
-    if (!a.armed()) return b;
-    if (!b.armed()) return a;
-    CancelToken t = a;
-    t.extra_ = b.flag_ != nullptr ? b.flag_ : b.extra_;
-    return t;
-  }
+  [[nodiscard]] bool armed() const { return flag_ != nullptr; }
 
  private:
   std::shared_ptr<std::atomic<bool>> flag_;
-  /// Second observed flag (merged tokens only); never the cancel() target.
-  std::shared_ptr<std::atomic<bool>> extra_;
 };
 
 }  // namespace logsim::fault

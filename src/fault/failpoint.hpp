@@ -1,13 +1,13 @@
 #pragma once
 // Failpoint injection framework: named, deterministically seeded fault
-// sites threaded through the io layer, the thread pool, the prediction
-// cache and the batch predictor, so tests (and operators chasing a
-// production incident) can force transient errors, scheduling delays and
-// allocation failures at exact points.
+// sites threaded through the io layer, the prediction and step caches,
+// the batch predictor and the serving layer, so tests (and operators
+// chasing a production incident) can force transient errors, scheduling
+// delays and allocation failures at exact points.
 //
 // Sites are configured from a spec string, normally via the environment:
 //
-//   LOGSIM_FAILPOINTS=io.load:err@0.1,pool.job:delay@50ms,batch.job:err@1#3
+//   LOGSIM_FAILPOINTS=io.load:err@0.1,batch.job:delay@50ms,cache.lookup:err@1#3
 //
 // Grammar (comma-separated list):
 //   <site>:err[@p][#n]     return a transient Status with probability p

@@ -4,8 +4,11 @@
 // The library distinguishes three families of failure (DESIGN.md §8):
 //   invalid input -- malformed files, out-of-range ids, uncalibrated ops:
 //                    the caller's data is wrong, retrying cannot help;
-//   transient     -- injected faults, io hiccups, allocation pressure:
-//                    retrying with backoff is expected to succeed;
+//   transient     -- injected faults, io hiccups, allocation pressure, a
+//                    busy server: the same call may succeed later, and
+//                    the caller decides whether to try again (logsim
+//                    itself never retries: a prediction is a pure
+//                    function of its inputs);
 //   internal      -- a broken invariant inside logsim itself: a bug.
 // plus two runtime outcomes, timeout (deadline expired) and cancelled
 // (cooperative cancellation observed).
@@ -28,7 +31,8 @@ namespace logsim {
 enum class ErrorCode {
   kOk = 0,
   kInvalidInput,  ///< malformed/out-of-range untrusted input; not retryable
-  kTransient,     ///< io hiccup / injected fault / resource blip; retryable
+  kTransient,     ///< io hiccup / injected fault / resource blip / busy
+                  ///< server; the caller may retry
   kTimeout,       ///< a configured deadline expired
   kCancelled,     ///< cooperative cancellation was observed
   kInternal,      ///< broken internal invariant: a logsim bug
@@ -72,7 +76,7 @@ class Status {
     return context_;
   }
 
-  /// Retry-with-backoff is only meaningful for transient failures.
+  /// Only a transient failure can succeed when the caller tries again.
   [[nodiscard]] bool is_transient() const {
     return code_ == ErrorCode::kTransient;
   }

@@ -38,7 +38,7 @@ struct SimSlice {
 class SimTraceRecorder {
  public:
   /// Drops all slices and per-step scratch (the simulator calls this at
-  /// the start of a run, so a retried job records exactly one run).
+  /// the start of a run, so a reused recorder holds exactly one run).
   void clear();
 
   /// Opens step `step` over a `procs`-processor machine; subsequent note()

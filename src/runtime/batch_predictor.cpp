@@ -1,6 +1,5 @@
 #include "runtime/batch_predictor.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <exception>
@@ -12,7 +11,6 @@
 #include "fault/failpoint.hpp"
 #include "network/network_model.hpp"
 #include "obs/trace.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace logsim::runtime {
@@ -29,11 +27,6 @@ double to_us(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double, std::micro>(d).count();
 }
 
-std::chrono::steady_clock::duration from_time(Time t) {
-  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::micro>(t.us()));
-}
-
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
 
 /// True when the model adds nothing over flat LogGP -- the only regime
@@ -44,25 +37,6 @@ bool flat_net(const network::NetworkModel* net) {
 
 }  // namespace
 
-/// One live batch.  Tasks hold a shared_ptr, so if the watchdog abandons
-/// the batch every late write still lands in valid heap memory; the
-/// caller's copy of `results` is taken under the mutex before returning.
-struct BatchPredictor::BatchState {
-  std::vector<PredictJob> jobs;  // copied: outlives an abandoned caller frame
-  std::vector<JobResult> results;
-  std::vector<char> done;
-  std::vector<std::uint64_t> keys;  // canonical FNV-1a hash per job
-  std::vector<char> keyed;          // key valid (non-null inputs, no closure)
-
-  std::mutex mu;
-  std::condition_variable done_cv;
-  std::size_t remaining = 0;
-  bool abandoned = false;  // watchdog fired; unstarted tasks bail out
-
-  Checkpoint checkpoint;
-  std::size_t completed_since_write = 0;
-};
-
 BatchPredictor::BatchPredictor(Config config)
     : config_(config),
       sim_(std::move(config.sim)),
@@ -72,20 +46,13 @@ BatchPredictor::BatchPredictor(Config config)
                                          : &metrics::Registry::global()),
       jobs_run_(metrics_->counter("batch.jobs_run")),
       job_errors_(metrics_->counter("batch.job_errors")),
-      retries_(metrics_->counter("batch.retries")),
       timeouts_(metrics_->counter("batch.timeouts")),
       cancelled_(metrics_->counter("batch.cancelled")),
-      watchdog_expiries_(metrics_->counter("batch.watchdog_expiries")),
-      checkpoint_hits_(metrics_->counter("checkpoint.hits")),
-      checkpoint_writes_(metrics_->counter("checkpoint.writes")),
-      checkpoint_write_errors_(metrics_->counter("checkpoint.write_errors")),
-      checkpoint_load_errors_(metrics_->counter("checkpoint.load_errors")),
       job_wall_us_(metrics_->histogram("batch.job_wall", "us")),
       queue_wait_us_(metrics_->histogram("batch.queue_wait", "us")),
       pool_(resolve_threads(config.threads)) {
-  if (config_.checkpoint_every == 0) config_.checkpoint_every = 1;
-  // The per-batch fields are injected per job; a caller-set value here
-  // would silently leak into predict_one, so normalize them away.
+  // The cancel/deadline fields are injected per job; a caller-set value
+  // here would silently leak into every job, so normalize them away.
   sim_.cancel = fault::CancelToken{};
   sim_.deadline = kNoDeadline;
   // Config.step_cache wins over a cache wired in via sim options, so the
@@ -95,71 +62,28 @@ BatchPredictor::BatchPredictor(Config config)
 }
 
 std::vector<JobResult> BatchPredictor::predict_all(
-    const std::vector<PredictJob>& jobs, fault::CancelToken cancel) {
+    const std::vector<PredictJob>& jobs) {
   if (jobs.empty()) return {};
 
-  auto state = std::make_shared<BatchState>();
-  state->jobs = jobs;
-  state->results.resize(jobs.size());
-  state->done.assign(jobs.size(), 0);
-  state->keys.assign(jobs.size(), 0);
-  state->keyed.assign(jobs.size(), 0);
-  state->remaining = jobs.size();
+  // Lives on this frame: the wait below returns only after every task has
+  // reported in, and each task touches the state last under `mu`.
+  struct BatchState {
+    std::vector<JobResult> results;
+    std::vector<std::optional<std::uint64_t>> keys;
+    std::mutex mu;
+    std::condition_variable done_cv;
+    std::size_t remaining = 0;
+  } state;
+  state.results.resize(jobs.size());
+  state.remaining = jobs.size();
 
-  const auto batch_deadline =
-      config_.batch_deadline.count() > 0
-          ? std::chrono::steady_clock::now() + config_.batch_deadline
-          : kNoDeadline;
-
-  const bool checkpointing = !config_.checkpoint_path.empty();
-
-  // Hash every well-formed closure-free job once; the key serves the
-  // checkpoint probe, the cache lookup and the miss-path insert.  With no
-  // consumer the walk is pure overhead (it visits every work item of every
-  // program), so skip it.
-  if (cache_ != nullptr || checkpointing) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const PredictJob& job = jobs[i];
-      if (job.program != nullptr && job.costs != nullptr &&
-          !job.bypass_cache && !sim_.compute_overhead &&
-          job.sim_trace == nullptr &&
-          flat_net(job.net != nullptr ? job.net : sim_.net)) {
-        const std::uint64_t program_hash =
-            job.program_hash.has_value()
-                ? *job.program_hash
-                : prediction_program_hash(*job.program, *job.costs);
-        state->keys[i] = prediction_key_hash(program_hash, job.params,
-                                             job.seed.value_or(sim_.seed));
-        state->keyed[i] = 1;
-      }
-    }
-  }
-  if (checkpointing) {
-    Result<Checkpoint> loaded = Checkpoint::load_or_empty(config_.checkpoint_path);
-    if (loaded.ok()) {
-      state->checkpoint = std::move(loaded).value();
-    } else {
-      // Corrupt checkpoint: count it and start fresh -- resuming wrong
-      // data would be worse than redoing work.
-      checkpoint_load_errors_.add();
-    }
-  }
+  // Hash every job once, up front; the key serves both the cache lookup
+  // and the miss-path insert.
+  state.keys.reserve(jobs.size());
+  for (const PredictJob& job : jobs) state.keys.push_back(cache_key(job));
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    // Checkpoint hits resolve on the calling thread: free, deterministic,
-    // and they never enter the pool queue.
-    if (checkpointing && state->keyed[i]) {
-      if (const core::Prediction* hit = state->checkpoint.find(state->keys[i])) {
-        state->results[i].prediction = *hit;
-        state->results[i].from_checkpoint = true;
-        checkpoint_hits_.add();
-        jobs_run_.add();
-        --state->remaining;
-        state->done[i] = 1;
-        continue;
-      }
-    }
-    pool_.submit([this, state, cancel, batch_deadline,
+    pool_.submit([this, &jobs, &state,
                   i](std::chrono::steady_clock::duration queue_wait) {
       queue_wait_us_.record(to_us(queue_wait));
       if (obs::TraceSession& tracer = obs::TraceSession::global();
@@ -170,193 +94,103 @@ std::vector<JobResult> BatchPredictor::predict_all(
         tracer.complete("batch.queued", "batch", tracer.now_us() - wait_us,
                         wait_us, i);
       }
-      bool abandoned = false;
-      {
-        std::lock_guard lock{state->mu};
-        abandoned = state->abandoned;
-      }
-      JobResult result;
-      if (abandoned) {
-        result.status = Status::timeout(
-            "batch deadline expired before the job started");
-        timeouts_.add();
-        job_errors_.add();
-      } else if (cancel.cancelled()) {
-        result.status =
-            Status::cancelled("batch cancelled before the job started");
-        cancelled_.add();
-        job_errors_.add();
-      } else {
-        result = run_job(state->jobs[i], cancel, batch_deadline,
-                         state->keys[i], state->keyed[i] != 0, i);
-      }
-      finish_job(state, i, std::move(result));
+      JobResult result = run_job(jobs[i], state.keys[i], i);
+      std::lock_guard lock{state.mu};
+      state.results[i] = std::move(result);
+      // Notify under the lock: once the waiter sees zero it returns and
+      // `state` is gone, so nothing may touch it after the unlock.
+      if (--state.remaining == 0) state.done_cv.notify_all();
     });
   }
 
-  std::vector<JobResult> out;
   {
-    std::unique_lock lock{state->mu};
-    auto batch_done = [&state] { return state->remaining == 0; };
-    if (state->remaining == 0) {
-      // Every job was a checkpoint hit; nothing was submitted.
-    } else if (batch_deadline == kNoDeadline) {
-      state->done_cv.wait(lock, batch_done);
-    } else if (!state->done_cv.wait_until(lock, batch_deadline, batch_done)) {
-      // Watchdog: the deadline passed with jobs outstanding.  Cooperative
-      // jobs observe the same deadline between simulation steps and finish
-      // on their own moments later; anything truly wedged (an injected
-      // pool fault that swallowed a task, a stuck closure) would otherwise
-      // hang this wait forever.  Mark the stragglers timed out and return.
-      watchdog_expiries_.add();
-      if (obs::TraceSession& tracer = obs::TraceSession::global();
-          tracer.enabled()) {
-        tracer.instant("batch.watchdog_expiry", "batch");
-      }
-      state->abandoned = true;
-      for (std::size_t i = 0; i < state->results.size(); ++i) {
-        if (state->done[i]) continue;
-        state->results[i].prediction.reset();
-        state->results[i].status = Status::timeout(
-            "batch deadline expired with the job still outstanding");
-        timeouts_.add();
-        job_errors_.add();
-      }
-    }
-    out = state->results;
-    // Final persist under the same lock that guards the checkpoint.
-    if (checkpointing && !state->checkpoint.empty()) {
-      if (Status st = state->checkpoint.write_atomic(config_.checkpoint_path);
-          st.ok()) {
-        checkpoint_writes_.add();
-      } else {
-        checkpoint_write_errors_.add();
-      }
-    }
+    std::unique_lock lock{state.mu};
+    state.done_cv.wait(lock, [&state] { return state.remaining == 0; });
   }
-
   publish_cache_gauges();
-  return out;
+  return std::move(state.results);
 }
 
 JobResult BatchPredictor::predict_one(const PredictJob& job,
                                       bool publish_gauges) {
-  std::uint64_t key = 0;
-  bool keyed = false;
-  if (cache_ != nullptr && job.program != nullptr && job.costs != nullptr &&
-      !job.bypass_cache && !sim_.compute_overhead &&
-      job.sim_trace == nullptr &&
-      flat_net(job.net != nullptr ? job.net : sim_.net)) {
-    const std::uint64_t program_hash =
-        job.program_hash.has_value()
-            ? *job.program_hash
-            : prediction_program_hash(*job.program, *job.costs);
-    key = prediction_key_hash(program_hash, job.params,
-                              job.seed.value_or(sim_.seed));
-    keyed = true;
-  }
-  JobResult result =
-      run_job(job, fault::CancelToken{}, kNoDeadline, key, keyed, obs::kNoId);
+  JobResult result = run_job(job, cache_key(job), obs::kNoId);
   if (publish_gauges) publish_cache_gauges();
   return result;
 }
 
-JobResult BatchPredictor::run_job(
-    const PredictJob& job, const fault::CancelToken& cancel,
-    std::chrono::steady_clock::time_point batch_deadline, std::uint64_t key,
-    bool keyed, std::uint64_t trace_id) {
+std::optional<std::uint64_t> BatchPredictor::cache_key(
+    const PredictJob& job) const {
+  // A compute_overhead closure is opaque to the canonical hash, a traced
+  // job must actually simulate, and a shaped network is not part of the
+  // key: all of them bypass the cache.
+  if (cache_ == nullptr || job.program == nullptr || job.costs == nullptr ||
+      job.bypass_cache || sim_.compute_overhead || job.sim_trace != nullptr ||
+      !flat_net(job.net != nullptr ? job.net : sim_.net)) {
+    return std::nullopt;
+  }
+  const std::uint64_t program_hash =
+      job.program_hash.has_value()
+          ? *job.program_hash
+          : prediction_program_hash(*job.program, *job.costs);
+  return prediction_key_hash(program_hash, job.params,
+                             job.seed.value_or(sim_.seed));
+}
+
+JobResult BatchPredictor::run_job(const PredictJob& job,
+                                  std::optional<std::uint64_t> key,
+                                  std::uint64_t trace_id) {
   obs::TraceSession& tracer = obs::TraceSession::global();
   obs::Span job_span{tracer, "batch.job", "batch", trace_id};
   const auto start = std::chrono::steady_clock::now();
-  auto deadline = batch_deadline;
-  if (config_.job_deadline.count() > 0) {
-    deadline = std::min(deadline, start + config_.job_deadline);
-  }
-  if (job.deadline.count() > 0) {
-    deadline = std::min(deadline, start + job.deadline);
-  }
-  // The job's own token is polled alongside the batch-wide one, so a
-  // serving request cancelled by its client stops without touching
-  // unrelated jobs in the same batch.
-  const fault::CancelToken effective_cancel =
-      fault::CancelToken::merged(cancel, job.cancel);
-
-  // Backoff jitter stream: deterministic per (seed, job), so reruns of a
-  // faulty batch reproduce the exact same delay schedule.
-  util::Rng backoff_rng{sim_.seed ^ key ^ 0x9e3779b97f4a7c15ULL};
+  const auto deadline =
+      job.deadline.count() > 0 ? start + job.deadline : kNoDeadline;
 
   JobResult result;
-  int attempt = 0;
-  for (;;) {
-    ++attempt;
-    result.prediction.reset();
-    result.from_cache = false;
-    Status st = run_attempt(job, effective_cancel, deadline, key, keyed, &result);
-    result.attempts = attempt;
-    result.status = st;
-    if (st.ok()) {
-      jobs_run_.add();
-      break;
-    }
-    if (st.code() == ErrorCode::kTimeout) {
+  result.status = run_attempt(job, deadline, key, &result);
+  if (result.status.ok()) {
+    jobs_run_.add();
+  } else {
+    if (result.status.code() == ErrorCode::kTimeout) {
       timeouts_.add();
       if (tracer.enabled()) tracer.instant("batch.timeout", "batch", trace_id);
     }
-    if (st.code() == ErrorCode::kCancelled) {
+    if (result.status.code() == ErrorCode::kCancelled) {
       cancelled_.add();
       if (tracer.enabled()) {
         tracer.instant("batch.cancelled", "batch", trace_id);
       }
     }
-    if (fault::should_retry(st, attempt, config_.retry)) {
-      const auto delay = from_time(
-          fault::backoff_delay(config_.retry, attempt, backoff_rng));
-      const auto wake = std::chrono::steady_clock::now() + delay;
-      if (wake < deadline) {
-        retries_.add();
-        if (tracer.enabled()) tracer.instant("batch.retry", "batch", trace_id);
-        std::this_thread::sleep_until(wake);
-        continue;
-      }
-      // Retrying would blow the deadline: fail now rather than block past
-      // it waiting out a backoff we could never use.
-      result.status =
-          std::move(st).with_context("job deadline left no room to retry");
-    }
     job_errors_.add();
-    break;
   }
   job_wall_us_.record(to_us(std::chrono::steady_clock::now() - start));
   return result;
 }
 
 Status BatchPredictor::run_attempt(
-    const PredictJob& job, const fault::CancelToken& cancel,
-    std::chrono::steady_clock::time_point deadline, std::uint64_t key,
-    bool keyed, JobResult* result) {
+    const PredictJob& job, std::chrono::steady_clock::time_point deadline,
+    std::optional<std::uint64_t> key, JobResult* result) {
+  // Every exit is a returned Status, exceptions included: the caller's
+  // batch counts on each job reporting back exactly once.
   try {
     if (job.program == nullptr || job.costs == nullptr) {
       return Status::invalid_input(
           "PredictJob: program and costs must be non-null");
     }
-    // The canonical transient-fault injection site for the batch runtime.
+    // The canonical fault injection site for the batch runtime.
     if (Status st = fault::failpoint("batch.job"); !st.ok()) {
       return st.with_context("while running a prediction job");
     }
-    // A compute_overhead closure is opaque to the canonical hash, so such
-    // jobs must not share cache entries with closure-free ones.
     const std::uint64_t seed = job.seed.value_or(sim_.seed);
-    const bool cacheable = cache_ != nullptr && keyed;
-    if (cacheable) {
-      if (auto hit =
-              cache_->lookup(key, *job.program, *job.costs, job.params, seed)) {
+    if (key.has_value()) {
+      if (auto hit = cache_->lookup(*key, *job.program, *job.costs,
+                                    job.params, seed)) {
         result->prediction = std::move(hit);
         result->from_cache = true;
         return Status{};
       }
     }
     core::ProgramSimOptions opts = sim_;
-    opts.cancel = cancel;
+    opts.cancel = job.cancel;
     opts.deadline = deadline;
     opts.sim_trace = job.sim_trace;
     opts.seed = seed;
@@ -366,8 +200,8 @@ Status BatchPredictor::run_attempt(
         predictor.predict(*job.program, *job.costs);
     if (!prediction.ok()) return prediction.status();
     result->prediction = std::move(prediction).value();
-    if (cacheable) {
-      cache_->insert(key, *job.program, *job.costs, job.params, seed,
+    if (key.has_value()) {
+      cache_->insert(*key, *job.program, *job.costs, job.params, seed,
                      *result->prediction);
     }
     return Status{};
@@ -378,30 +212,6 @@ Status BatchPredictor::run_attempt(
   } catch (...) {
     return Status::internal("prediction job threw an unknown exception");
   }
-}
-
-void BatchPredictor::finish_job(const std::shared_ptr<BatchState>& state,
-                                std::size_t index, JobResult result) {
-  const bool checkpointing = !config_.checkpoint_path.empty();
-  std::lock_guard lock{state->mu};
-  if (checkpointing && result.ok() && state->keyed[index]) {
-    state->checkpoint.put(state->keys[index], *result.prediction);
-    if (++state->completed_since_write >= config_.checkpoint_every) {
-      state->completed_since_write = 0;
-      // Persist under the state lock: serializes workers briefly, but a
-      // checkpoint interval below every-job makes that rare, and it keeps
-      // file writes strictly ordered.
-      if (Status st = state->checkpoint.write_atomic(config_.checkpoint_path);
-          st.ok()) {
-        checkpoint_writes_.add();
-      } else {
-        checkpoint_write_errors_.add();
-      }
-    }
-  }
-  state->results[index] = std::move(result);
-  state->done[index] = 1;
-  if (--state->remaining == 0) state->done_cv.notify_all();
 }
 
 void BatchPredictor::publish_cache_gauges() {

@@ -45,8 +45,7 @@ std::uint64_t prediction_key_hash(const core::StepProgram& program,
                                   const loggp::Params& params,
                                   std::uint64_t seed) {
   // Composition of the two halves above.  Note: splitting changed the
-  // digest values relative to the single-pass walk it replaced, so
-  // checkpoints written before the change simply miss and recompute -- the
+  // digest values relative to the single-pass walk it replaced -- the
   // keys are cache keys, not stored-format contracts.
   return prediction_key_hash(prediction_program_hash(program, costs), params,
                              seed);

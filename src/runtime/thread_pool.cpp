@@ -1,10 +1,8 @@
 #include "runtime/thread_pool.hpp"
 
-#include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "fault/failpoint.hpp"
 #include "obs/trace.hpp"
 
 namespace logsim::runtime {
@@ -63,12 +61,6 @@ void ThreadPool::worker_loop(std::size_t index) {
     }
     const auto wait = std::chrono::steady_clock::now() - pending.enqueued;
     try {
-      // "pool.job" injects failures at the dispatch boundary: a delay spec
-      // models a descheduled worker, an error spec a task that throws
-      // before running any caller code.
-      if (Status st = fault::failpoint("pool.job"); !st.ok()) {
-        throw std::runtime_error(st.to_string());
-      }
       pending.task(wait);
     } catch (...) {
       task_exceptions_.fetch_add(1, std::memory_order_relaxed);

@@ -324,7 +324,6 @@ Server::Server(Config config)
   pc.cache = &prediction_cache_;
   pc.step_cache = &step_cache_;
   pc.metrics = metrics_;
-  pc.retry = config_.retry;
   predictor_ = std::make_unique<runtime::BatchPredictor>(pc);
   scheduler_ = std::make_unique<Scheduler>();
 }
@@ -783,7 +782,6 @@ void Server::execute_group(std::vector<Request>& group) {
         late.status =
             Status::timeout("request deadline expired before the reply "
                             "was ready");
-        late.attempts = results[i].attempts;
         deliver(pendings[i], late, flush);
         continue;
       }
@@ -1072,7 +1070,7 @@ void Server::deliver(Pending& pending, const runtime::JobResult& result,
   reply.total_worst_us = result.value().total_worst().us();
   reply.comm_worst_us = result.value().comm_worst().us();
   reply.from_cache = result.from_cache;
-  reply.attempts = result.attempts;
+  reply.attempts = 1;
   finish(request,
          Frame{FrameKind::kResult, request.id,
                encode_predict_reply(reply, codec)},

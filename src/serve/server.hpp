@@ -55,7 +55,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "fault/retry.hpp"
 #include "fault/status.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/batch_predictor.hpp"
@@ -97,8 +96,6 @@ class Server {
     /// Default per-request deadline when the request carries none;
     /// zero disables.
     std::chrono::steady_clock::duration default_deadline{};
-    /// Retry budget forwarded to the BatchPredictor (transient faults).
-    fault::RetryPolicy retry;
     /// Prediction-cache / step-cache budgets for the process-wide warm
     /// caches shared across all connections.
     runtime::PredictionCache::Config prediction_cache;

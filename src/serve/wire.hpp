@@ -196,6 +196,8 @@ struct PredictReply {
   double total_worst_us = 0.0;
   double comm_worst_us = 0.0;
   bool from_cache = false;
+  /// Always 1 from logsimd, which runs each prediction once; the field
+  /// stays so the reply frame layout does not change.
   int attempts = 0;
 };
 

@@ -1,20 +1,18 @@
 // Corrupt-input corpus driven through every untrusted parser boundary:
-// pattern_io, params_io, program_io and the checkpoint loader.  This
-// binary is compiled with NDEBUG forced (see tests/CMakeLists.txt), so a
-// parser that still leans on assert() for validation would sail past the
-// check and crash or corrupt memory here instead of failing the EXPECTs:
-// every corpus entry must come back as a clean invalid-input Status.
+// pattern_io, params_io and program_io.  This binary is compiled with
+// NDEBUG forced (see tests/CMakeLists.txt), so a parser that still leans
+// on assert() for validation would sail past the check and crash or
+// corrupt memory here instead of failing the EXPECTs: every corpus entry
+// must come back as a clean invalid-input Status.
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "io/params_io.hpp"
 #include "io/pattern_io.hpp"
 #include "io/program_io.hpp"
-#include "runtime/checkpoint.hpp"
 
 namespace logsim {
 namespace {
@@ -177,55 +175,6 @@ TEST(CorruptInput, ProgramGoodInputStillParses) {
   ASSERT_TRUE(r.ok()) << r.status().to_string();
   EXPECT_EQ(r->program.procs(), 2);
   EXPECT_EQ(r->costs.op_count(), 1);
-}
-
-// ------------------------------------------------------------- checkpoint
-
-std::string write_temp(const std::string& name, const std::string& text) {
-  const std::string path = ::testing::TempDir() + name;
-  std::ofstream out{path, std::ios::trunc};
-  out << text;
-  return path;
-}
-
-TEST(CorruptInput, CheckpointCorpusYieldsStatusErrors) {
-  const std::vector<CorpusCase> corpus = {
-      {"empty file", ""},
-      {"bad header", "not-a-checkpoint\n"},
-      {"entry without key", "logsim-checkpoint v1\nentry\n"},
-      {"bad key", "logsim-checkpoint v1\nentry zz\n"},
-      {"stray keyword", "logsim-checkpoint v1\nfrob\n"},
-      {"truncated entry", "logsim-checkpoint v1\nentry 00000000000000aa\n"},
-      {"bad record tag",
-       "logsim-checkpoint v1\nentry 00000000000000aa\nsideways 0 0x0p+0 0\n"},
-      {"bad total",
-       "logsim-checkpoint v1\nentry 00000000000000aa\nstandard 0 huh 0\n"},
-      {"truncated vector",
-       "logsim-checkpoint v1\nentry 00000000000000aa\n"
-       "standard 0 0x0p+0 2 0x0p+0\n"},
-      {"missing end",
-       "logsim-checkpoint v1\nentry 00000000000000aa\n"
-       "standard 0 0x0p+0 0\nworst 0 0x0p+0 0\n"},
-  };
-  for (const auto& c : corpus) {
-    const std::string path = write_temp("corrupt_ckpt.txt", c.text);
-    const auto r = runtime::Checkpoint::load(path);
-    EXPECT_FALSE(r.ok()) << c.label;
-    if (!r.ok()) {
-      EXPECT_EQ(r.status().code(), ErrorCode::kInvalidInput) << c.label;
-    }
-    // load_or_empty treats only ABSENT files as fresh; corruption must
-    // still surface so the caller can count it.
-    EXPECT_FALSE(runtime::Checkpoint::load_or_empty(path).ok()) << c.label;
-  }
-}
-
-TEST(CorruptInput, CheckpointAbsentFileIsEmptyNotError) {
-  const auto r =
-      runtime::Checkpoint::load_or_empty("/nonexistent/missing.ckpt");
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->empty());
-  EXPECT_FALSE(runtime::Checkpoint::load("/nonexistent/missing.ckpt").ok());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for logsim::fault: structured Status/Result propagation, the
-// failpoint registry (grammar, determinism, fire budgets), cooperative
-// cancellation tokens, and the jittered exponential retry policy.
+// failpoint registry (grammar, determinism, fire budgets) and cooperative
+// cancellation tokens.
 
 #include <gtest/gtest.h>
 
@@ -11,9 +11,7 @@
 
 #include "fault/cancel.hpp"
 #include "fault/failpoint.hpp"
-#include "fault/retry.hpp"
 #include "fault/status.hpp"
-#include "util/rng.hpp"
 
 namespace logsim {
 namespace {
@@ -213,45 +211,6 @@ TEST(Failpoint, SitesAreListed) {
   ASSERT_EQ(sites.size(), 2u);
   EXPECT_EQ(sites[0], "a.one");  // sorted
   EXPECT_EQ(sites[1], "b.two");
-}
-
-// ------------------------------------------------------------------ Retry
-
-TEST(Retry, ShouldRetryOnlyTransientWithinBudget) {
-  fault::RetryPolicy policy;
-  policy.max_attempts = 3;
-  EXPECT_TRUE(fault::should_retry(Status::transient("x"), 1, policy));
-  EXPECT_TRUE(fault::should_retry(Status::transient("x"), 2, policy));
-  EXPECT_FALSE(fault::should_retry(Status::transient("x"), 3, policy));
-  EXPECT_FALSE(fault::should_retry(Status::invalid_input("x"), 1, policy));
-  EXPECT_FALSE(fault::should_retry(Status::timeout("x"), 1, policy));
-  EXPECT_FALSE(fault::should_retry(Status{}, 1, policy));
-}
-
-TEST(Retry, BackoffGrowsExponentiallyAndCaps) {
-  fault::RetryPolicy policy;
-  policy.initial_backoff = Time{100.0};
-  policy.multiplier = 2.0;
-  policy.max_backoff = Time{350.0};
-  policy.jitter = 0.0;  // exact values
-  util::Rng rng{1};
-  EXPECT_DOUBLE_EQ(fault::backoff_delay(policy, 1, rng).us(), 100.0);
-  EXPECT_DOUBLE_EQ(fault::backoff_delay(policy, 2, rng).us(), 200.0);
-  EXPECT_DOUBLE_EQ(fault::backoff_delay(policy, 3, rng).us(), 350.0);  // cap
-  EXPECT_DOUBLE_EQ(fault::backoff_delay(policy, 9, rng).us(), 350.0);
-}
-
-TEST(Retry, JitterStaysInBandAndIsDeterministic) {
-  fault::RetryPolicy policy;
-  policy.initial_backoff = Time{100.0};
-  policy.jitter = 0.5;
-  util::Rng a{42}, b{42};
-  for (int k = 1; k <= 16; ++k) {
-    const double da = fault::backoff_delay(policy, 1, a).us();
-    EXPECT_GE(da, 50.0);
-    EXPECT_LE(da, 150.0);
-    EXPECT_DOUBLE_EQ(da, fault::backoff_delay(policy, 1, b).us());
-  }
 }
 
 }  // namespace

@@ -77,18 +77,32 @@ TEST(Integration, WorstCaseAlwaysAboveStandard) {
 
 TEST(Integration, MeasuredCommBetweenStandardAndWorstCase) {
   // Figure 8: "the measured values fall between the simulated values" of
-  // the standard and worst-case algorithms.  Allow the same slack the
-  // paper's plots show (jitter can push individual points around).
-  for (const Curves* c : {&diagonal_curves(), &row_curves()}) {
-    int inside = 0;
-    for (std::size_t i = 0; i < kBlocks.size(); ++i) {
-      if (c->measured_comm[i] >= c->predicted_comm_std[i] - 1e-6 &&
-          c->measured_comm[i] <= c->predicted_comm_wc[i] * 1.25) {
-        ++inside;
-      }
-    }
-    EXPECT_GE(inside, static_cast<int>(kBlocks.size()) - 2);
+  // the standard and worst-case algorithms.  Diagonal comm steps have
+  // several senders that also receive, so the worst case opens a real gap
+  // above the standard schedule and every point is inside, no allowance.
+  const Curves& d = diagonal_curves();
+  for (std::size_t i = 0; i < kBlocks.size(); ++i) {
+    EXPECT_LE(d.predicted_comm_std[i], d.measured_comm[i])
+        << "block=" << kBlocks[i];
+    EXPECT_LE(d.measured_comm[i], d.predicted_comm_wc[i])
+        << "block=" << kBlocks[i];
   }
+  // Row-cyclic comm steps have a single sender, the pivot-row owner, so
+  // the worst case's receive-first rule is vacuous and worst equals
+  // standard.  Measured comm then sits above both: the Testbed's
+  // self-message copies, per-op loop overhead and cache stalls are not in
+  // the model (EXPERIMENTS.md, Figure 8).  Jitter is the smallest of the
+  // Testbed effects, not the cause.  This half keeps its allowance until
+  // the row-cyclic program gets multi-sender comm steps.
+  const Curves& r = row_curves();
+  int inside = 0;
+  for (std::size_t i = 0; i < kBlocks.size(); ++i) {
+    if (r.measured_comm[i] >= r.predicted_comm_std[i] - 1e-6 &&
+        r.measured_comm[i] <= r.predicted_comm_wc[i] * 1.25) {
+      ++inside;
+    }
+  }
+  EXPECT_GE(inside, static_cast<int>(kBlocks.size()) - 2);
 }
 
 TEST(Integration, PredictionTracksMeasuredShape) {

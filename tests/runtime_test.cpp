@@ -1,17 +1,21 @@
 // Tests for the logsim::runtime batch-prediction engine: thread pool
 // semantics, bit-identical parallel-vs-serial determinism over a
 // randomized job mix, memoization-cache LRU / collision / counter
-// behaviour, per-job error propagation, metrics rendering, and the
-// batch exhaustive-search overload.
+// behaviour, per-job error propagation on every exit path, metrics
+// rendering, and the batch exhaustive-search overload.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/predictor.hpp"
+#include "fault/cancel.hpp"
 #include "ge/blocked_ge.hpp"
 #include "layout/layout.hpp"
 #include "loggp/params.hpp"
@@ -257,6 +261,59 @@ TEST(BatchPredictor, ErrorsPropagatePerJobWithoutKillingBatch) {
   EXPECT_FALSE(results[3].ok());
   EXPECT_EQ(metrics.counter("batch.job_errors").value(), 2u);
   EXPECT_EQ(metrics.counter("batch.jobs_run").value(), 2u);
+}
+
+TEST(BatchPredictor, EveryJobExitPathCompletesTheBatch) {
+  // predict_all waits for every job to report back; a job that ended
+  // without reporting would hang this call.  The closure, keyed off the
+  // work item's block size, throws three ways; two more jobs stop on
+  // their own deadline and cancel token; the rest run to completion.
+  core::ProgramSimOptions sim;
+  sim.compute_overhead = [](const core::WorkItem& item) {
+    if (item.block_size == 5) throw std::runtime_error("closure failed");
+    if (item.block_size == 6) throw std::bad_alloc{};
+    if (item.block_size == 7) throw 42;  // not a std::exception
+    return Time::zero();
+  };
+  const core::CostTable costs = tiny_costs();
+  const loggp::Params params = loggp::presets::meiko_cs2(2);
+  std::vector<core::StepProgram> programs;
+  for (int block = 4; block <= 11; ++block) {
+    programs.push_back(tiny_program(block));
+  }
+  std::vector<runtime::PredictJob> jobs;
+  for (const auto& program : programs) {
+    jobs.push_back(runtime::PredictJob{&program, params, &costs});
+  }
+  jobs[4].deadline = std::chrono::nanoseconds{1};
+  jobs[5].cancel = fault::CancelToken::create();
+  jobs[5].cancel.cancel();
+
+  runtime::metrics::Registry metrics;
+  runtime::BatchPredictor batch{
+      {.threads = 4, .sim = sim, .metrics = &metrics}};
+  const auto results = batch.predict_all(jobs);
+  ASSERT_EQ(results.size(), jobs.size());
+
+  const std::array<ErrorCode, 5> failed{
+      ErrorCode::kInternal, ErrorCode::kTransient, ErrorCode::kInternal,
+      ErrorCode::kTimeout, ErrorCode::kCancelled};
+  for (std::size_t k = 0; k < failed.size(); ++k) {
+    const runtime::JobResult& r = results[k + 1];
+    ASSERT_FALSE(r.ok()) << "job " << k + 1;
+    EXPECT_EQ(r.status.code(), failed[k]) << "job " << k + 1 << ": "
+                                          << r.error();
+  }
+  for (const std::size_t i : {0u, 6u, 7u}) {
+    ASSERT_TRUE(results[i].ok()) << results[i].error();
+    expect_identical(
+        results[i].value(),
+        core::Predictor{params, sim}.predict_or_die(programs[i], costs));
+  }
+  EXPECT_EQ(metrics.counter("batch.jobs_run").value(), 3u);
+  EXPECT_EQ(metrics.counter("batch.job_errors").value(), 5u);
+  EXPECT_EQ(metrics.counter("batch.timeouts").value(), 1u);
+  EXPECT_EQ(metrics.counter("batch.cancelled").value(), 1u);
 }
 
 // ------------------------------------------------------------------ cache

@@ -3,11 +3,13 @@
 # once in the default RelWithDebInfo configuration (NDEBUG: the corpus
 # tests exercise release-build error paths) and once under
 # AddressSanitizer, which catches the class of bug the fault layer is
-# designed to keep out (use-after-free on watchdog-abandoned batches,
-# empty-vector reads on uncalibrated ops, torn checkpoint buffers).
-# Then: a standalone-header pass, a logsimd/logsim_client serve smoke
-# (ephemeral port, scripted session, clean SIGTERM), and the Release
-# perf gate (perf_regression + serve_throughput into BENCH_perf.json).
+# designed to keep out (empty-vector reads on uncalibrated ops, parsers
+# reading past a malformed frame or file, batch state outliving its
+# predict_all call).  Then: a standalone-header pass, a
+# logsimd/logsim_client serve smoke (ephemeral port, scripted session,
+# clean SIGTERM), the serving and batch-runtime tests under
+# ThreadSanitizer, and the Release perf gate (perf_regression +
+# serve_throughput into BENCH_perf.json).
 #
 # Usage: tools/ci.sh [build-dir-prefix]
 #   LOGSIM_CI_SANITIZER=undefined tools/ci.sh   # swap ASan for UBSan
@@ -207,19 +209,24 @@ echo "==> [serve] smoke OK (port $port, clean shutdown)"
 
 # The serving layer is the most concurrency-dense code in the repo (N
 # epoll reactors, a worker pool, cross-connection coalescing, a shared
-# registry); run its test binaries under ThreadSanitizer specifically,
-# whatever LOGSIM_CI_SANITIZER picked for the full-suite pass above.
+# registry), and the batch runtime under it shares a stack-owned batch
+# state with its pool workers; run those test binaries under
+# ThreadSanitizer specifically, whatever LOGSIM_CI_SANITIZER picked for
+# the full-suite pass above.
 if [ "$sanitizer" = "thread" ]; then
   echo "==> [serve-tsan] full suite already ran under TSan; skipping"
 else
   tsan_dir="$prefix-serve-tsan"
   echo "==> [serve-tsan] configure: $tsan_dir (LOGSIM_SANITIZE=thread)"
   cmake -S "$repo_root" -B "$tsan_dir" -DLOGSIM_SANITIZE=thread >/dev/null
-  echo "==> [serve-tsan] build serve_test + wire_corrupt_test"
-  cmake --build "$tsan_dir" --target serve_test wire_corrupt_test -j "$jobs"
+  echo "==> [serve-tsan] build serve, wire and batch-runtime tests"
+  cmake --build "$tsan_dir" --target serve_test wire_corrupt_test \
+    runtime_test hardened_runtime_test -j "$jobs"
   echo "==> [serve-tsan] run"
   "$tsan_dir/tests/serve_test"
   "$tsan_dir/tests/wire_corrupt_test"
+  "$tsan_dir/tests/runtime_test"
+  "$tsan_dir/tests/hardened_runtime_test"
   echo "==> [serve-tsan] clean"
 fi
 
