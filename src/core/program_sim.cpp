@@ -173,7 +173,8 @@ Result<ProgramResult> ProgramSimulator::run_checked(const StepProgram& program,
       if (step_cache != nullptr) {
         // Interned steps carry their canonicalization from build time
         // (steps are immutable once added), so the per-run cost of a
-        // warmed hit is O(participants) -- no walk over the messages.
+        // warmed hit is O(participants) -- no walk over the messages; the
+        // cache verifies them by their form, so no to_canonical map.
         // Un-interned patterns (hand-built programs, transform outputs)
         // fall back to analyzing here.
         std::uint64_t canonical_hash = 0;
@@ -183,7 +184,6 @@ Result<ProgramResult> ProgramSimulator::run_checked(const StepProgram& program,
         if (comm.canon != nullptr && !comm.from_canonical.empty()) {
           canonical_hash = comm.canon->hash;
           uniform = comm.canon->uniform_bytes;
-          to = &comm.to_canonical;
           from = &comm.from_canonical;
           query.canon = comm.canon;
         } else {

@@ -9,7 +9,7 @@ std::uint64_t comm_step_key_hash(std::uint64_t canonical_hash,
                                  const loggp::Params& params, bool worst_case,
                                  bool exact, std::uint64_t seed,
                                  const std::vector<ProcId>& from_canonical) {
-  util::Fnv1a h;
+  util::Hasher h;
   h.mix_u64(canonical_hash);
   h.mix_double(params.L.us());
   h.mix_double(params.o.us());

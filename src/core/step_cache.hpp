@@ -66,7 +66,8 @@ struct CommStepQuery {
   std::uint64_t key_hash = 0;
   /// The original (uncanonicalized) pattern, for collision verification.
   const pattern::CommPattern* pattern = nullptr;
-  /// Original proc -> canonical id (kNoProc for non-participants).
+  /// Original proc -> canonical id (kNoProc for non-participants).  Null
+  /// for an interned step: `canon` then stands in for the pattern.
   const std::vector<ProcId>* to_canonical = nullptr;
   /// Canonical id -> original proc; size == participant count.
   const std::vector<ProcId>* from_canonical = nullptr;

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -47,14 +48,11 @@ struct CommStep {
   /// instance across shifted copies of the pattern); carries no semantic
   /// content, so it is excluded from equality.
   std::shared_ptr<const pattern::CanonicalPattern> canon;
-  /// The relabeling between this pattern and `canon->form`, recorded at
-  /// intern time (empty when canon is null).  Steps are immutable once
-  /// added to a StepProgram, so the simulator can trust these instead of
-  /// re-canonicalizing the pattern on every run -- that walk is what the
-  /// maps exist to avoid.  to_canonical: original proc -> canonical id
-  /// (kNoProc for non-participants); from_canonical: canonical id ->
-  /// original proc, sized to the participant count.
-  std::vector<ProcId> to_canonical;
+  /// Canonical id -> original proc, recorded at intern time (empty when
+  /// canon is null).  Steps are immutable once added to a StepProgram, so
+  /// the simulator can trust it and `canon` instead of re-canonicalizing
+  /// the pattern on every run.  Sized to the participants, never to
+  /// procs(), so an interned step stays O(its messages).
   std::vector<ProcId> from_canonical;
 
   friend bool operator==(const CommStep& a, const CommStep& b) {
@@ -62,22 +60,36 @@ struct CommStep {
   }
 };
 
+/// Copying a StepProgram is O(1): copies share one immutable step list,
+/// and a mutation clones it first when it is shared (copy-on-write).  So a
+/// cache entry holds the caller's program, never a deep copy.
 class StepProgram {
  public:
-  explicit StepProgram(int procs) : procs_(procs) {}
+  using Step = std::variant<ComputeStep, CommStep>;
 
-  void add_compute(ComputeStep step) { steps_.emplace_back(std::move(step)); }
-  void add_comm(CommStep step) { steps_.emplace_back(std::move(step)); }
+  explicit StepProgram(int procs) : procs_(procs), steps_(empty_steps()) {}
+  StepProgram(const StepProgram&) = default;
+  StepProgram& operator=(const StepProgram&) = default;
+  /// A moved-from program is a valid empty one (size() == 0).
+  StepProgram(StepProgram&& other) noexcept
+      : procs_(other.procs_), steps_(std::exchange(other.steps_, empty_steps())) {}
+  StepProgram& operator=(StepProgram&& other) noexcept {
+    procs_ = other.procs_;
+    steps_ = std::exchange(other.steps_, empty_steps());
+    return *this;
+  }
+
+  void add_compute(ComputeStep step) {
+    mutable_steps().emplace_back(std::move(step));
+  }
+  void add_comm(CommStep step) { mutable_steps().emplace_back(std::move(step)); }
   void add_comm(pattern::CommPattern pattern) {
-    steps_.emplace_back(CommStep{std::move(pattern)});
+    add_comm(CommStep{std::move(pattern), nullptr, {}});
   }
 
   [[nodiscard]] int procs() const { return procs_; }
-  [[nodiscard]] std::size_t size() const { return steps_.size(); }
-  [[nodiscard]] const std::variant<ComputeStep, CommStep>& step(
-      std::size_t i) const {
-    return steps_[i];
-  }
+  [[nodiscard]] std::size_t size() const { return steps_->size(); }
+  [[nodiscard]] const Step& step(std::size_t i) const { return (*steps_)[i]; }
 
   [[nodiscard]] std::size_t compute_step_count() const;
   [[nodiscard]] std::size_t comm_step_count() const;
@@ -93,20 +105,28 @@ class StepProgram {
   /// one pattern -- within this program or across programs interned in the
   /// same pool -- end up sharing a single CanonicalPattern instance, which
   /// the comm-step cache then reuses instead of copying pattern storage.
-  /// Idempotent; called by the program generators at build time.
+  /// Idempotent (clones shared steps only when one needs interning);
+  /// called by the program generators at build time.
   void intern_patterns(pattern::PatternInterner& interner);
 
   /// Structural equality: same processor count and step-for-step identical
-  /// contents.  The prediction cache relies on this to tell true hits from
-  /// 64-bit hash collisions.
-  friend bool operator==(const StepProgram&, const StepProgram&) = default;
+  /// contents (O(1) when both share one step list).  The prediction cache
+  /// relies on this to tell true hits from 64-bit hash collisions.
+  friend bool operator==(const StepProgram& a, const StepProgram& b) {
+    return a.procs_ == b.procs_ &&
+           (a.steps_ == b.steps_ || *a.steps_ == *b.steps_);
+  }
 
  private:
+  static std::shared_ptr<std::vector<Step>> empty_steps();
+  /// The step list, cloned first if another program shares it.
+  std::vector<Step>& mutable_steps();
+
   int procs_;
-  std::vector<std::variant<ComputeStep, CommStep>> steps_;
+  std::shared_ptr<std::vector<Step>> steps_;  // never null
 };
 
-/// Structural FNV-1a-64 hash of a whole program: the companion to
+/// Structural hash of a whole program: the companion to
 /// StepProgram::operator==.  Comm steps are folded in via
 /// CommPattern::hash(), so the prediction cache and the comm-step cache
 /// share one message encoding.

@@ -1,25 +1,12 @@
 #include "network/topology_spec.hpp"
 
 #include <cmath>
-#include <cstring>
+
+#include "util/hash.hpp"
 
 namespace logsim::network {
 
 namespace {
-
-std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xffu)) * 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv_double(std::uint64_t h, double d) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(d));
-  std::memcpy(&bits, &d, sizeof(bits));
-  return fnv_u64(h, bits);
-}
 
 /// prod(v[0..level)) with int64 arithmetic; level <= v.size().
 std::int64_t level_prod(const std::vector<int>& v, std::size_t level) {
@@ -282,16 +269,17 @@ void TopologySpec::append_route(ProcId src, ProcId dst,
 }
 
 std::uint64_t TopologySpec::hash() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv_u64(h, static_cast<std::uint64_t>(kind));
-  for (const int d : dims) h = fnv_u64(h, static_cast<std::uint64_t>(d));
-  h = fnv_u64(h, down.size());
-  for (const int d : down) h = fnv_u64(h, static_cast<std::uint64_t>(d));
-  h = fnv_u64(h, up.size());
-  for (const int u : up) h = fnv_u64(h, static_cast<std::uint64_t>(u));
-  h = fnv_double(h, per_hop.us());
-  h = fnv_double(h, link_G);
-  return h;
+  util::Hasher h;
+  h.mix_u64(static_cast<std::uint64_t>(kind));
+  h.mix_u64(dims.size());
+  for (const int d : dims) h.mix_i64(d);
+  for (const auto* levels : {&down, &up}) {
+    h.mix_u64(levels->size());
+    for (const int x : *levels) h.mix_i64(x);
+  }
+  h.mix_double(per_hop.us());
+  h.mix_double(link_G);
+  return h.digest();
 }
 
 }  // namespace logsim::network

@@ -98,7 +98,7 @@ struct TopologySpec {
   /// hops(src, dst).
   void append_route(ProcId src, ProcId dst, std::vector<int>& path) const;
 
-  /// Structural FNV-1a-64 hash, the companion to operator==.
+  /// Structural hash (util::Hasher), the companion to operator==.
   [[nodiscard]] std::uint64_t hash() const;
 
   friend bool operator==(const TopologySpec&, const TopologySpec&) = default;

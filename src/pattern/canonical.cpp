@@ -7,7 +7,12 @@
 namespace logsim::pattern {
 
 int Canonicalizer::analyze(const CommPattern& p) {
-  to_canonical_.assign(static_cast<std::size_t>(p.procs()), kNoProc);
+  // Clear only the ids the last analysis set: once the map is sized, a
+  // call costs O(messages), not O(procs).
+  for (const ProcId q : from_canonical_) {
+    to_canonical_[static_cast<std::size_t>(q)] = kNoProc;
+  }
+  to_canonical_.resize(static_cast<std::size_t>(p.procs()), kNoProc);
   from_canonical_.clear();
   net_msgs_ = 0;
   uniform_ = true;
@@ -35,7 +40,7 @@ int Canonicalizer::analyze(const CommPattern& p) {
   // Pass 2: hash the canonical form in exactly CommPattern::hash()'s
   // encoding (procs, size, then per-message src/dst/bytes/tag with tags
   // zeroed), so hash() == materialize(p).form.hash() by construction.
-  util::Fnv1a h;
+  util::Hasher h;
   h.mix_i64(static_cast<std::int64_t>(from_canonical_.size()));
   h.mix_u64(net_msgs_);
   for (const auto& m : p.messages()) {

@@ -65,7 +65,7 @@ struct CanonicalPattern {
 /// Streaming canonicalizer with reusable scratch: analyze() computes the
 /// relabeling, canonical hash and uniformity flag of a pattern without
 /// materializing anything, so a warmed instance performs zero allocations
-/// per call -- fit for the simulator hot path.
+/// and O(messages) work per call -- fit for the simulator hot path.
 class Canonicalizer {
  public:
   /// Analyzes `p`; returns the number of participating processors

@@ -61,7 +61,7 @@ void CommPattern::receive_counts(std::vector<int>& out) const {
 }
 
 std::uint64_t CommPattern::hash() const {
-  util::Fnv1a h;
+  util::Hasher h;
   h.mix_i64(procs_);
   h.mix_u64(messages_.size());
   for (const auto& m : messages_) {

@@ -63,7 +63,7 @@ class CommPattern {
   void send_lists(std::vector<std::vector<std::size_t>>& out) const;
   void receive_counts(std::vector<int>& out) const;
 
-  /// Structural FNV-1a-64 hash: the companion to operator==.  Equal
+  /// Structural hash (util::Hasher): the companion to operator==.  Equal
   /// patterns always hash equal; the encoding covers the processor count
   /// and every message's (src, dst, bytes, tag) in order.
   [[nodiscard]] std::uint64_t hash() const;

@@ -69,18 +69,12 @@ std::vector<JobResult> BatchPredictor::predict_all(
   // reported in, and each task touches the state last under `mu`.
   struct BatchState {
     std::vector<JobResult> results;
-    std::vector<std::optional<std::uint64_t>> keys;
     std::mutex mu;
     std::condition_variable done_cv;
     std::size_t remaining = 0;
   } state;
   state.results.resize(jobs.size());
   state.remaining = jobs.size();
-
-  // Hash every job once, up front; the key serves both the cache lookup
-  // and the miss-path insert.
-  state.keys.reserve(jobs.size());
-  for (const PredictJob& job : jobs) state.keys.push_back(cache_key(job));
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     pool_.submit([this, &jobs, &state,
@@ -94,7 +88,7 @@ std::vector<JobResult> BatchPredictor::predict_all(
         tracer.complete("batch.queued", "batch", tracer.now_us() - wait_us,
                         wait_us, i);
       }
-      JobResult result = run_job(jobs[i], state.keys[i], i);
+      JobResult result = run_job(jobs[i], i);
       std::lock_guard lock{state.mu};
       state.results[i] = std::move(result);
       // Notify under the lock: once the waiter sees zero it returns and
@@ -113,7 +107,7 @@ std::vector<JobResult> BatchPredictor::predict_all(
 
 JobResult BatchPredictor::predict_one(const PredictJob& job,
                                       bool publish_gauges) {
-  JobResult result = run_job(job, cache_key(job), obs::kNoId);
+  JobResult result = run_job(job, obs::kNoId);
   if (publish_gauges) publish_cache_gauges();
   return result;
 }
@@ -128,16 +122,11 @@ std::optional<std::uint64_t> BatchPredictor::cache_key(
       !flat_net(job.net != nullptr ? job.net : sim_.net)) {
     return std::nullopt;
   }
-  const std::uint64_t program_hash =
-      job.program_hash.has_value()
-          ? *job.program_hash
-          : prediction_program_hash(*job.program, *job.costs);
-  return prediction_key_hash(program_hash, job.params,
+  return prediction_key_hash(*job.program, *job.costs, job.params,
                              job.seed.value_or(sim_.seed));
 }
 
 JobResult BatchPredictor::run_job(const PredictJob& job,
-                                  std::optional<std::uint64_t> key,
                                   std::uint64_t trace_id) {
   obs::TraceSession& tracer = obs::TraceSession::global();
   obs::Span job_span{tracer, "batch.job", "batch", trace_id};
@@ -146,7 +135,7 @@ JobResult BatchPredictor::run_job(const PredictJob& job,
       job.deadline.count() > 0 ? start + job.deadline : kNoDeadline;
 
   JobResult result;
-  result.status = run_attempt(job, deadline, key, &result);
+  result.status = run_attempt(job, deadline, &result);
   if (result.status.ok()) {
     jobs_run_.add();
   } else {
@@ -168,7 +157,7 @@ JobResult BatchPredictor::run_job(const PredictJob& job,
 
 Status BatchPredictor::run_attempt(
     const PredictJob& job, std::chrono::steady_clock::time_point deadline,
-    std::optional<std::uint64_t> key, JobResult* result) {
+    JobResult* result) {
   // Every exit is a returned Status, exceptions included: the caller's
   // batch counts on each job reporting back exactly once.
   try {
@@ -181,6 +170,9 @@ Status BatchPredictor::run_attempt(
       return st.with_context("while running a prediction job");
     }
     const std::uint64_t seed = job.seed.value_or(sim_.seed);
+    // Hashed here, on the worker, so the key walk runs in parallel and
+    // counts in batch.job_wall; it serves the lookup and the miss insert.
+    const std::optional<std::uint64_t> key = cache_key(job);
     if (key.has_value()) {
       if (auto hit = cache_->lookup(*key, *job.program, *job.costs,
                                     job.params, seed)) {
@@ -240,6 +232,7 @@ void BatchPredictor::publish_cache_gauges() {
   metrics_->set_gauge("cache.entries", std::to_string(stats.entries));
   metrics_->set_gauge("cache.bytes", std::to_string(stats.bytes));
   metrics_->set_gauge("cache.evictions", std::to_string(stats.evictions));
+  metrics_->set_gauge("cache.oversized", std::to_string(stats.oversized));
   metrics_->set_gauge("cache.hit_rate",
                       util::fmt(stats.hit_rate() * 100.0, 1) + "%");
 }

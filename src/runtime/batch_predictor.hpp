@@ -62,15 +62,9 @@ struct PredictJob {
   /// cache key, so jobs with different seeds never share an entry.  The
   /// serving layer maps the wire request's seed here.
   std::optional<std::uint64_t> seed = std::nullopt;
-  /// Precomputed prediction_program_hash(*program, *costs); nullopt hashes
-  /// on demand.  The serving layer's registered programs carry it so a
-  /// cache key costs O(1) per request instead of a structural walk.  Must
-  /// match the borrowed program/costs or cache entries are wasted (never
-  /// wrong: lookups verify with full equality).
-  std::optional<std::uint64_t> program_hash = std::nullopt;
   /// Skips the PredictionCache for this job: for callers that memoize at
-  /// a higher level and don't want a second full program copy retained in
-  /// the shared cache.  The comm-step cache still applies.
+  /// a higher level (the registry's per-handle memo), so the prediction is
+  /// not stored twice.  The comm-step cache still applies.
   bool bypass_cache = false;
   /// Optional topology backend override for THIS job (borrowed; must
   /// outlive the predict call).  nullptr inherits Config::sim.net.  A
@@ -148,14 +142,13 @@ class BatchPredictor {
 
  private:
   /// The job's prediction-cache key, or nullopt when it must bypass the
-  /// cache.
+  /// cache.  Computed by the worker that runs the job.
   [[nodiscard]] std::optional<std::uint64_t> cache_key(
       const PredictJob& job) const;
-  JobResult run_job(const PredictJob& job, std::optional<std::uint64_t> key,
-                    std::uint64_t trace_id);
+  JobResult run_job(const PredictJob& job, std::uint64_t trace_id);
   Status run_attempt(const PredictJob& job,
                      std::chrono::steady_clock::time_point deadline,
-                     std::optional<std::uint64_t> key, JobResult* result);
+                     JobResult* result);
 
   Config config_;
   core::ProgramSimOptions sim_;

@@ -9,14 +9,13 @@ std::uint64_t prediction_program_hash(const core::StepProgram& program,
                                       const core::CostTable& costs) {
   // One encoding for all structural keys: the program is folded in via
   // core::structural_hash (which reuses CommPattern::hash per comm step).
-  util::Fnv1a h;
+  util::Hasher h;
   h.mix_u64(core::structural_hash(program));
   // The calibration: op names and points, in registration order (the
   // program's items address ops by id, so order is meaningful).
   h.mix_i64(costs.op_count());
   for (core::OpId op = 0; op < costs.op_count(); ++op) {
     const std::string& name = costs.name(op);
-    h.mix_i64(static_cast<std::int64_t>(name.size()));
     h.mix_bytes(name.data(), name.size());
     for (const int block : costs.block_sizes(op)) {
       h.mix_i64(block);
@@ -26,29 +25,19 @@ std::uint64_t prediction_program_hash(const core::StepProgram& program,
   return h.digest();
 }
 
-std::uint64_t prediction_key_hash(std::uint64_t program_hash,
+std::uint64_t prediction_key_hash(const core::StepProgram& program,
+                                  const core::CostTable& costs,
                                   const loggp::Params& params,
                                   std::uint64_t seed) {
-  util::Fnv1a h;
+  util::Hasher h;
   h.mix_double(params.L.us());
   h.mix_double(params.o.us());
   h.mix_double(params.g.us());
   h.mix_double(params.G);
   h.mix_i64(params.P);
   h.mix_u64(seed);
-  h.mix_u64(program_hash);
+  h.mix_u64(prediction_program_hash(program, costs));
   return h.digest();
-}
-
-std::uint64_t prediction_key_hash(const core::StepProgram& program,
-                                  const core::CostTable& costs,
-                                  const loggp::Params& params,
-                                  std::uint64_t seed) {
-  // Composition of the two halves above.  Note: splitting changed the
-  // digest values relative to the single-pass walk it replaced -- the
-  // keys are cache keys, not stored-format contracts.
-  return prediction_key_hash(prediction_program_hash(program, costs), params,
-                             seed);
 }
 
 std::size_t prediction_entry_bytes(const core::StepProgram& program,
@@ -135,8 +124,14 @@ void PredictionCache::insert(std::uint64_t hash,
   // An injected insert failure skips the store; correctness is unaffected,
   // the entry is simply recomputed next time.
   if (Status st = fault::failpoint("cache.insert"); !st.ok()) return;
+  // O(program): charged before taking the shard lock.
+  const std::size_t bytes = prediction_entry_bytes(program, prediction);
   Shard& shard = *shards_[shard_of(hash)];
   std::lock_guard lock{shard.mu};
+  if (bytes > per_shard_budget_) {  // would evict everything
+    ++shard.oversized;
+    return;
+  }
   if (auto it = shard.index.find(hash); it != shard.index.end()) {
     for (auto entry_it : it->second) {
       if (entry_it->seed == seed && entry_it->params == params &&
@@ -147,12 +142,10 @@ void PredictionCache::insert(std::uint64_t hash,
       }
     }
   }
-  Entry entry{hash, program, costs, params, seed, prediction,
-              prediction_entry_bytes(program, prediction)};
-  if (entry.bytes > per_shard_budget_) return;  // would evict everything
-  shard.lru.push_front(std::move(entry));
+  shard.lru.push_front(
+      Entry{hash, program, costs, params, seed, prediction, bytes});
   shard.index[hash].push_back(shard.lru.begin());
-  shard.bytes += shard.lru.front().bytes;
+  shard.bytes += bytes;
   ++shard.insertions;
   evict_to_budget_locked(shard);
 }
@@ -183,6 +176,7 @@ PredictionCache::Stats PredictionCache::stats() const {
     total.misses += shard.misses;
     total.insertions += shard.insertions;
     total.evictions += shard.evictions;
+    total.oversized += shard.oversized;
     total.entries += shard.lru.size();
     total.bytes += shard.bytes;
   }

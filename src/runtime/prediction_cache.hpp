@@ -1,24 +1,27 @@
 #pragma once
 // Sharded memoization cache for predictions.
 //
-// Key: a canonical 64-bit FNV-1a hash over the step program's structure,
-// its cost table, and the LogGP parameters (plus the simulation seed,
-// which changes worst-case tie-breaking).  The cost table is part of the
-// key because it is part of the answer: two programs with identical
+// Key: a 64-bit structural hash (util::Hasher) over the step program's
+// structure, its cost table, and the LogGP parameters (plus the simulation
+// seed, which changes worst-case tie-breaking).  The cost table is part of
+// the key because it is part of the answer: two programs with identical
 // structure but different calibrations predict different times -- a
 // distinction that never arose while every caller shared one process-wide
 // analytic table, but which the serving layer (cost tables arrive with
 // every request) makes load-bearing.  The hash selects a shard; each shard
 // holds an LRU list of entries guarded by its own mutex, so concurrent
 // pool workers only contend when they land on the same shard.  Because 64
-// bits can collide, every entry keeps a full copy of its (program, costs,
-// params) key and lookups verify with operator== before reporting a hit --
-// a collision is a miss, never a wrong answer.
+// bits can collide, every entry keeps its (program, costs, params) key and
+// lookups verify with operator== before reporting a hit -- a collision is
+// a miss, never a wrong answer.  The entry's program shares the caller's
+// step list (StepProgram copies are O(1)), so an insert copies nothing
+// program-sized.
 //
 // Eviction is by approximate byte footprint: each entry is charged for its
-// program copy (steps, work items, touched-block ids, messages) and its
-// Prediction vectors; when the configured byte budget is exceeded the
-// least-recently-used entries are dropped, oldest first.
+// whole program (steps, work items, touched-block ids, messages), since it
+// may end up as the step list's last owner, and its Prediction vectors;
+// when the configured byte budget is exceeded the least-recently-used
+// entries are dropped, oldest first.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,27 +38,18 @@
 
 namespace logsim::runtime {
 
-/// Canonical FNV-1a-64 hash of the program-shaped half of a prediction
-/// key: the step program's structure (step kinds, work items, touched ids,
-/// messages) and the cost table (op names, calibration points).  Walking
-/// both is O(program), so callers that evaluate one program under many
-/// (params, seed) points -- the serving layer's registered handles --
-/// compute this once and compose per-request keys with the O(1) overload
-/// below.
+/// Hash of the program-shaped half of a prediction key: the step
+/// program's structure (step kinds, work items, touched ids, messages) and
+/// the cost table (op names, calibration points).  The registry keys its
+/// registered programs on it.
 [[nodiscard]] std::uint64_t prediction_program_hash(
     const core::StepProgram& program, const core::CostTable& costs);
 
-/// Canonical FNV-1a-64 hash of a prediction-cache key.  Identical
-/// (program, costs, params, seed) tuples always hash equal; logically
-/// equal inputs built by different code paths agree.
+/// Hash of a whole prediction-cache key.  Identical (program, costs,
+/// params, seed) tuples always hash equal; logically equal inputs built by
+/// different code paths agree.
 [[nodiscard]] std::uint64_t prediction_key_hash(const core::StepProgram& program,
                                                 const core::CostTable& costs,
-                                                const loggp::Params& params,
-                                                std::uint64_t seed);
-
-/// Composes a full key from a precomputed prediction_program_hash: equals
-/// the 4-argument overload when program_hash matches the inputs it hashed.
-[[nodiscard]] std::uint64_t prediction_key_hash(std::uint64_t program_hash,
                                                 const loggp::Params& params,
                                                 std::uint64_t seed);
 
@@ -65,9 +59,10 @@ class PredictionCache {
     /// Number of independently locked shards (clamped to at least 1).
     std::size_t shards = 16;
     /// Total byte budget across shards; each shard gets an equal slice.
-    /// Entries larger than a slice are simply not retained.  The default
-    /// (16 MiB per shard at 16 shards) comfortably holds every program of
-    /// the paper's Fig-7 sweep, including the block-4 giants.
+    /// Entries larger than a slice are not retained (counted in
+    /// Stats::oversized).  The default (16 MiB per shard at 16 shards)
+    /// holds every program of the paper's Fig-7 sweep (N = 960) but the
+    /// b = 10 one, which is charged 19.5 MiB.
     std::size_t byte_budget = 256ull << 20;
   };
 
@@ -78,6 +73,8 @@ class PredictionCache {
     std::uint64_t evictions = 0;
     std::uint64_t entries = 0;
     std::uint64_t bytes = 0;
+    /// Inserts dropped because the entry alone exceeds a shard's budget.
+    std::uint64_t oversized = 0;
 
     [[nodiscard]] double hit_rate() const {
       const auto total = hits + misses;
@@ -95,7 +92,7 @@ class PredictionCache {
       const core::StepProgram& program, const core::CostTable& costs,
       const loggp::Params& params, std::uint64_t seed);
 
-  /// Stores a prediction, copying the key for collision verification.
+  /// Stores a prediction, keeping the key for collision verification.
   /// Re-inserting an existing key refreshes its LRU position; insertion may
   /// evict LRU entries to respect the byte budget.
   void insert(const core::StepProgram& program, const core::CostTable& costs,
@@ -127,7 +124,7 @@ class PredictionCache {
  private:
   struct Entry {
     std::uint64_t hash = 0;
-    core::StepProgram program;  // full key copy for collision verification
+    core::StepProgram program;  // shares the caller's steps; verifies hits
     core::CostTable costs;      // ditto: calibration is part of the answer
     loggp::Params params;
     std::uint64_t seed = 0;
@@ -146,6 +143,7 @@ class PredictionCache {
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
+    std::uint64_t oversized = 0;
   };
 
   void evict_to_budget_locked(Shard& shard);

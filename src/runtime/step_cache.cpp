@@ -73,6 +73,9 @@ bool SharedStepCache::matches(const Entry& entry,
   if (query.canon != nullptr && entry.canon.get() == query.canon.get()) {
     return true;
   }
+  if (query.to_canonical == nullptr) {
+    return query.canon->form == entry.canon->form;  // another pool's form
+  }
   return entry.canon->form.procs() ==
              static_cast<int>(query.from_canonical->size()) &&
          pattern::canonical_equals(*query.pattern, *query.to_canonical,

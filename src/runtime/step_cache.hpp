@@ -1,6 +1,6 @@
 #pragma once
 // Sharded cross-job comm-step cache: the runtime implementation of
-// core::StepCache, mirroring PredictionCache's design (FNV-1a-keyed
+// core::StepCache, mirroring PredictionCache's design (hash-keyed
 // shards, per-shard mutex + LRU list, byte-budget eviction, full-key
 // verification on every candidate so a 64-bit collision is a miss, never
 // a wrong answer).

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "pattern/canonical.hpp"
 #include "runtime/prediction_cache.hpp"
 #include "util/hash.hpp"
 
@@ -9,7 +10,7 @@ namespace logsim::serve {
 
 std::size_t RegisteredProgram::MemoKeyHash::operator()(
     const MemoKey& key) const {
-  util::Fnv1a h;
+  util::Hasher h;
   h.mix_double(key.params.L.us());
   h.mix_double(key.params.o.us());
   h.mix_double(key.params.g.us());
@@ -51,8 +52,8 @@ std::uint64_t RegisteredProgram::memo_clears() const {
 
 Result<std::shared_ptr<const RegisteredProgram>> ProgramRegistry::intern(
     const std::string& text, const network::TopologySpec& topology) {
-  // Parse and hash OUTSIDE the lock: registration cost must not stall the
-  // handle-resolution hot path sharing the mutex.
+  // Parse, hash and canonicalize OUTSIDE the lock: registration cost must
+  // not stall the handle-resolution hot path sharing the mutex.
   Result<io::ProgramBundle> bundle = io::parse_program(text, config_.parse);
   if (!bundle.ok()) {
     return Status{bundle.status()}.with_context(
@@ -61,36 +62,49 @@ Result<std::shared_ptr<const RegisteredProgram>> ProgramRegistry::intern(
   if (Status st = topology.validate(bundle->program.procs()); !st.ok()) {
     return st.with_context("while validating the topology to register");
   }
-  const std::uint64_t program_hash =
-      runtime::prediction_program_hash(bundle->program, bundle->costs);
   // Content identity includes the topology: the same program registered
   // under two shapes must yield two handles (each entry's memo assumes a
-  // fixed topology).  program_hash itself stays topology-free for the
-  // global prediction cache.
-  const std::uint64_t content_key = program_hash ^ topology.hash();
+  // fixed topology).
+  const std::uint64_t content_key =
+      runtime::prediction_program_hash(bundle->program, bundle->costs) ^
+      topology.hash();
 
   std::unique_lock lock{mu_};
   ++registrations_;
-  if (const auto it = by_content_.find(content_key); it != by_content_.end()) {
-    for (const std::uint64_t handle : it->second) {
-      const auto& entry = by_handle_.at(handle);
-      if (entry->program() == bundle->program &&
-          entry->costs() == bundle->costs &&
-          entry->topology() == topology) {
-        ++dedup_hits_;
-        return entry;
+  // Runs twice at most: only a program the registry will take is
+  // canonicalized, and the checks are repeated after it because a
+  // concurrent REGISTER may have added it or filled the registry meanwhile.
+  for (bool canonicalized = false;; canonicalized = true) {
+    if (const auto it = by_content_.find(content_key);
+        it != by_content_.end()) {
+      for (const std::uint64_t handle : it->second) {
+        const auto& entry = by_handle_.at(handle);
+        if (entry->program() == bundle->program &&
+            entry->costs() == bundle->costs &&
+            entry->topology() == topology) {
+          ++dedup_hits_;
+          return entry;
+        }
       }
     }
-  }
-  if (by_handle_.size() >= config_.max_programs) {
-    return Status::transient(
-        "program registry is full (" + std::to_string(config_.max_programs) +
-        " programs); send the program inline or restart the daemon");
+    if (by_handle_.size() >= config_.max_programs) {
+      return Status::transient(
+          "program registry is full (" + std::to_string(config_.max_programs) +
+          " programs); send the program inline or restart the daemon");
+    }
+    if (canonicalized) break;
+    lock.unlock();
+    // The one canonicalization handles promise, into a pool of this
+    // program's own: its steps own the forms, which go with the program
+    // instead of staying pinned in a process-wide pool.
+    pattern::PatternInterner pool;
+    bundle->program.intern_patterns(pool);
+    lock.lock();
   }
   const std::uint64_t handle = next_handle_++;
   auto entry = std::make_shared<const RegisteredProgram>(
-      handle, std::move(bundle).value(), program_hash,
-      config_.memo_entries_per_program, topology);
+      handle, std::move(bundle).value(), config_.memo_entries_per_program,
+      topology);
   by_handle_.emplace(handle, entry);
   by_content_[content_key].push_back(handle);
   return entry;

@@ -12,14 +12,15 @@
 // interned entry makes that a cheap dedup hit when the server survived).
 //
 // Each entry carries a (params, seed) -> Prediction memo, the microsecond
-// warm path: the global PredictionCache verifies hits with a full program
-// equality walk (64-bit hashes can collide), which is exactly the O(bytes)
-// cost handles exist to avoid.  The memo lives on the entry whose identity
-// the handle already proves, so a hit is one small hash + table probe.
-// The memo is bounded per entry; when full it is cleared wholesale
-// (registered programs are re-simulated or served by the global cache
-// until it refills) -- simple, and a parameter sweep wider than the bound
-// degrades gracefully instead of evicting hot points one by one.
+// warm path: the global PredictionCache keys on a structural walk of the
+// program and verifies hits with a program equality check, which is
+// exactly the O(bytes) cost handles exist to avoid.  The memo lives on the
+// entry whose identity the handle already proves, so a hit is one small
+// hash + table probe.  A memo miss bypasses the global cache (so no key is
+// built) and simulates.  The memo is bounded per entry; when full it is
+// cleared wholesale (registered programs are re-simulated until it
+// refills) -- simple, and a parameter sweep wider than the bound degrades
+// gracefully instead of evicting hot points one by one.
 //
 // Thread model: intern()/find() take a shared_mutex (writes are rare,
 // lookups are the hot path and share the lock); each entry's memo has its
@@ -43,21 +44,19 @@
 
 namespace logsim::serve {
 
-/// One interned program: parsed and hashed once at REGISTER time, shared
-/// (immutably) by every connection that presents the handle.  An entry
-/// may carry a non-flat topology (protocol v3 REGISTER prefix): the
-/// NetworkModel is materialized once here, and every handle predict
+/// One interned program: parsed, canonicalized and hashed once at REGISTER
+/// time, shared (immutably) by every connection that presents the handle.
+/// An entry may carry a non-flat topology (protocol v3 REGISTER prefix):
+/// the NetworkModel is materialized once here, and every handle predict
 /// reuses it.  The topology is part of the entry's identity -- the same
 /// program registered under two topologies yields two handles -- which is
 /// what keeps the per-entry (params, seed) memo sound.
 class RegisteredProgram {
  public:
   RegisteredProgram(std::uint64_t handle, io::ProgramBundle bundle,
-                    std::uint64_t program_hash, std::size_t memo_capacity,
-                    network::TopologySpec topology)
+                    std::size_t memo_capacity, network::TopologySpec topology)
       : handle_(handle),
         bundle_(std::move(bundle)),
-        program_hash_(program_hash),
         memo_capacity_(memo_capacity == 0 ? 1 : memo_capacity),
         topology_(std::move(topology)),
         net_(topology_.is_flat() ? nullptr
@@ -68,10 +67,6 @@ class RegisteredProgram {
     return bundle_.program;
   }
   [[nodiscard]] const core::CostTable& costs() const { return bundle_.costs; }
-  /// runtime::prediction_program_hash of (program, costs), precomputed so
-  /// per-request cache keys cost O(1).  Topology-independent by design
-  /// (non-flat entries bypass the global cache anyway).
-  [[nodiscard]] std::uint64_t program_hash() const { return program_hash_; }
   /// The topology the program was registered under (flat by default).
   [[nodiscard]] const network::TopologySpec& topology() const {
     return topology_;
@@ -103,7 +98,6 @@ class RegisteredProgram {
 
   std::uint64_t handle_;
   io::ProgramBundle bundle_;
-  std::uint64_t program_hash_;
   std::size_t memo_capacity_;
   network::TopologySpec topology_;
   std::unique_ptr<const network::NetworkModel> net_;
@@ -145,7 +139,8 @@ class ProgramRegistry {
   /// entry WITH the same topology returns that entry (same handle); the
   /// same program under a different topology is a distinct entry.  The
   /// topology is validated against the parsed program's processor count.
-  /// Fails invalid-input on a parse/validate error, transient when the
+  /// Only a new entry is canonicalized, into forms its steps own.  Fails
+  /// invalid-input on a parse/validate error, transient when the
   /// registry is full.
   [[nodiscard]] Result<std::shared_ptr<const RegisteredProgram>> intern(
       const std::string& text,
@@ -163,9 +158,9 @@ class ProgramRegistry {
   mutable std::shared_mutex mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<const RegisteredProgram>>
       by_handle_;
-  // (program_hash ^ topology hash) -> handles with that key (usually one;
-  // collisions and equal re-registrations share the bucket, verified by
-  // full program + topology equality).
+  // (prediction_program_hash ^ topology hash) -> handles with that key
+  // (usually one; collisions and equal re-registrations share the bucket,
+  // verified by full program + topology equality).
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> by_content_;
   std::uint64_t next_handle_ = 1;
   std::uint64_t registrations_ = 0;

@@ -1020,13 +1020,9 @@ void Server::prepare(Request& request, FlushSet& flush,
   pending.job.params = pending.params;
   pending.job.cancel = conn->cancel;
   pending.job.seed = pending.seed;
-  if (pending.reg != nullptr) {
-    // The per-entry memo above already memoizes this triple; skip the
-    // global cache so the daemon doesn't hold a second copy of every
-    // registered program, and key O(1) off the precomputed hash.
-    pending.job.program_hash = pending.reg->program_hash();
-    pending.job.bypass_cache = true;
-  }
+  // The per-entry memo above already memoizes this triple; skip the global
+  // cache so the prediction is not stored twice.
+  if (pending.reg != nullptr) pending.job.bypass_cache = true;
   if (budget_left.count() > 0) pending.job.deadline = budget_left;
   out.push_back(std::move(pending));
 }

@@ -2,14 +2,19 @@
 //
 // This translation unit replaces the global operator new/delete pair with
 // counting versions backed by malloc/free, so every C++ heap allocation in
-// the process increments an atomic counter.  The tests warm up the
-// scratch-and-sink simulation path, then assert the steady-state cost:
+// the process increments atomic counters of calls and bytes.  The tests
+// warm up the scratch-and-sink simulation path, then assert the
+// steady-state cost:
 //
 //   - run_into() with a reused CommSimScratch + FinishOnlySink performs
 //     ZERO heap allocations once capacities have been reached, for both
 //     the standard algorithm and the worst-case algorithm;
 //   - the legacy trace-returning run() stays within a small constant
-//     (the CommTrace it returns), far below the pre-rewrite cost.
+//     (the CommTrace it returns), far below the pre-rewrite cost;
+//   - a PredictionCache insert shares the program instead of copying it,
+//     so its allocation count does not grow with the program;
+//   - REGISTER of a wide program allocates one procs-sized scratch, not
+//     one per comm step.
 //
 // Seed baselines, measured before the scratch rewrite on the same
 // workload (P=32 random pattern, 2000 messages => 4000 ops):
@@ -24,11 +29,13 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/comm_sim.hpp"
+#include "core/predictor.hpp"
 #include "core/program_sim.hpp"
 #include "core/worst_case.hpp"
 #include "ge/blocked_ge.hpp"
@@ -37,21 +44,26 @@
 #include "ops/analytic_model.hpp"
 #include "ops/ge_ops.hpp"
 #include "pattern/builders.hpp"
+#include "runtime/prediction_cache.hpp"
 #include "runtime/step_cache.hpp"
+#include "serve/registry.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 std::atomic<std::size_t> g_allocs{0};
+std::atomic<std::size_t> g_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc{};
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t al) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   const auto alignment = static_cast<std::size_t>(al);
   void* p = nullptr;
   if (posix_memalign(&p, alignment < sizeof(void*) ? sizeof(void*) : alignment,
@@ -67,10 +79,12 @@ void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size == 0 ? 1 : size);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size == 0 ? 1 : size);
 }
 void* operator new(std::size_t size, std::align_val_t al) {
@@ -244,6 +258,49 @@ TEST(AllocCount, CachedProgramSimHitPathStaysConstant) {
   const std::size_t n = count_allocs([&] { got = sim.run(program, costs).total; });
   EXPECT_EQ(got, want);
   EXPECT_LE(n, 16u) << "warmed cached run must allocate O(1), got " << n;
+}
+
+TEST(AllocCount, PredictionCacheInsertSharesTheProgram) {
+  // A cache entry shares the caller's step list, so an insert allocates
+  // the same handful of blocks (list node, index slot, the cost table and
+  // Prediction copies) whatever the program's size.
+  const auto costs = ops::analytic_cost_table();
+  const auto params = loggp::presets::meiko_cs2(4);
+  const layout::DiagonalMap map{4};
+  const auto insert_allocs = [&](int n) {
+    const auto program =
+        ge::build_ge_program(ge::GeConfig{.n = n, .block = 16}, map);
+    const auto prediction =
+        core::Predictor{params}.predict_or_die(program, costs);
+    const auto key = runtime::prediction_key_hash(program, costs, params, 1);
+    runtime::PredictionCache cache;
+    const std::size_t n_allocs = count_allocs(
+        [&] { cache.insert(key, program, costs, params, 1, prediction); });
+    EXPECT_EQ(cache.stats().entries, 1u);
+    return n_allocs;
+  };
+  (void)insert_allocs(192);  // the first insert creates the failpoint registry
+  const std::size_t small = insert_allocs(192);
+  const std::size_t large = insert_allocs(384);
+  EXPECT_EQ(small, large) << "insert cost grew with the program";
+}
+
+TEST(AllocCount, RegisterOfAWideProgramAllocatesByPayloadNotSteps) {
+  // REGISTER canonicalizes every comm step.  For procs 2^20 that needs one
+  // procs-sized scratch map (4 MiB) per registration, never one per step:
+  // 32 one-message steps must stay far below 32 such maps.
+  std::string text = "procs 1048576\n";
+  for (int s = 0; s < 32; ++s) {
+    text += "comm\nmsg " + std::to_string(s) + " " +
+            std::to_string(1000 + s) + " 8\n";
+  }
+  serve::ProgramRegistry registry;
+  const std::size_t before = g_bytes.load(std::memory_order_relaxed);
+  const auto entry = registry.intern(text);
+  const std::size_t bytes = g_bytes.load(std::memory_order_relaxed) - before;
+  ASSERT_TRUE(entry.ok()) << entry.status().to_string();
+  EXPECT_EQ((*entry)->program().comm_step_count(), 32u);
+  EXPECT_LT(bytes, std::size_t{8} << 20) << "REGISTER allocated " << bytes;
 }
 
 TEST(AllocCount, RepeatedScratchRunsStayFlatAcrossPatterns) {

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <new>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "layout/layout.hpp"
 #include "loggp/params.hpp"
 #include "ops/analytic_model.hpp"
+#include "pattern/canonical.hpp"
 #include "runtime/batch_predictor.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/prediction_cache.hpp"
@@ -184,6 +186,43 @@ TEST(Equality, StepProgramStructural) {
   const auto c = tiny_program(64);
   EXPECT_EQ(a, b);  // built independently, structurally identical
   EXPECT_NE(a, c);  // differs in one work item's block size
+
+  // Copy-on-write: a copy shares the step storage...
+  const std::uint64_t hash_a = core::structural_hash(a);
+  auto copy = a;
+  EXPECT_EQ(&copy.step(0), &a.step(0));
+  EXPECT_EQ(copy, a);
+  // ...and mutating it leaves the original as it was.
+  copy.add_compute(core::ComputeStep{{core::WorkItem{0, 0, 4, {}}}});
+  copy.add_comm(pattern::CommPattern{2});
+  EXPECT_EQ(copy.size(), 4u);
+  EXPECT_NE(copy, a);
+  auto with_step = a;
+  pattern::CommPattern pat{2};
+  pat.add(1, 0, Bytes{8});
+  with_step.add_comm(core::CommStep{std::move(pat), nullptr, {}});
+  EXPECT_EQ(with_step.size(), 3u);
+  pattern::PatternInterner pool;
+  auto interned = a;
+  interned.intern_patterns(pool);
+  EXPECT_NE(std::get<core::CommStep>(interned.step(1)).canon, nullptr);
+  EXPECT_EQ(std::get<core::CommStep>(a.step(1)).canon, nullptr);
+  EXPECT_EQ(interned, a);  // canon is acceleration state, not content
+  EXPECT_EQ(a.size(), 2u);
+  EXPECT_EQ(core::structural_hash(a), hash_a);
+  EXPECT_EQ(a, b);
+  // Nothing left to intern: the copy keeps sharing.
+  auto again = interned;
+  again.intern_patterns(pool);
+  EXPECT_EQ(&again.step(0), &interned.step(0));
+
+  // A moved-from program is a valid empty one.
+  auto moved = std::move(copy);
+  EXPECT_EQ(moved.size(), 4u);
+  EXPECT_EQ(copy.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  copy.add_compute(core::ComputeStep{});
+  EXPECT_EQ(copy.size(), 1u);
+  EXPECT_EQ(moved.size(), 4u);
 }
 
 // ---------------------------------------------------------- determinism
@@ -237,6 +276,33 @@ TEST(BatchPredictor, FourThreadBatchBitIdenticalToSerial) {
   }
   // The warm pass is answered entirely from the cache.
   EXPECT_GE(cache.stats().hits, jobs.size());
+
+  // Jobs that borrow one program object at different seeds: the workers
+  // hash it, compare it and share its steps into cache entries at once.
+  std::vector<runtime::PredictJob> borrowed;
+  std::vector<core::Prediction> borrowed_serial;
+  for (std::size_t c = 0; c < 3; ++c) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      runtime::PredictJob job;
+      job.program = &cases[c].program;
+      job.params = cases[c].params;
+      job.costs = &cases[c].costs;
+      job.seed = seed;
+      borrowed.push_back(job);
+      core::ProgramSimOptions seeded = sim;
+      seeded.seed = seed;
+      borrowed_serial.push_back(core::Predictor{job.params, seeded}
+                                    .predict_or_die(*job.program, *job.costs));
+    }
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto got = cached.predict_all(borrowed);
+    ASSERT_EQ(got.size(), borrowed.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(got[i].ok()) << got[i].error();
+      expect_identical(got[i].value(), borrowed_serial[i]);
+    }
+  }
 }
 
 TEST(BatchPredictor, ErrorsPropagatePerJobWithoutKillingBatch) {
@@ -419,7 +485,29 @@ TEST(PredictionCache, OversizedEntryIsNotRetained) {
   runtime::PredictionCache cache{{.shards = 1, .byte_budget = 16}};
   cache.insert(prog, costs, params, 1, pred);
   EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().insertions, 0u);
+  EXPECT_EQ(cache.stats().oversized, 1u);  // the drop is counted
   EXPECT_FALSE(cache.lookup(prog, costs, params, 1).has_value());
+}
+
+TEST(PredictionCache, HighTagBitsSpreadAcrossShards) {
+  // The shard index reads a key's low bits, so those must depend on every
+  // input bit: 256 programs that differ only in bits 40-47 of one
+  // message's tag must not pile into a few shards.
+  const auto costs = tiny_costs();
+  const auto params = loggp::presets::meiko_cs2(2);
+  const runtime::PredictionCache cache;
+  ASSERT_EQ(cache.shard_count(), 16u);
+  std::set<std::size_t> shards;
+  for (std::int64_t k = 0; k < 256; ++k) {
+    core::StepProgram program{2};
+    pattern::CommPattern pat{2};
+    pat.add(0, 1, Bytes{64}, k << 40);
+    program.add_comm(std::move(pat));
+    shards.insert(cache.shard_of(
+        runtime::prediction_key_hash(program, costs, params, 1)));
+  }
+  EXPECT_GE(shards.size(), 12u);
 }
 
 TEST(PredictionCache, CanonicalHashIsStructural) {

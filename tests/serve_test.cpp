@@ -24,6 +24,7 @@
 #include "io/params_io.hpp"
 #include "io/pattern_io.hpp"
 #include "io/program_io.hpp"
+#include "pattern/canonical.hpp"
 
 namespace logsim {
 namespace {
@@ -821,6 +822,111 @@ TEST_F(ServeTest, RegisteredHandlePredictsWithoutProgramUpload) {
   const Result<std::uint64_t> broken = client.register_program("procs 0\n");
   ASSERT_FALSE(broken.ok());
   EXPECT_EQ(broken.status().code(), ErrorCode::kInvalidInput);
+}
+
+TEST_F(ServeTest, RegisterCanonicalizesOnceAndHandlesMatchInline) {
+  // REGISTER canonicalizes every comm step that carries network messages,
+  // so handle simulations replay the comm-step cache without re-analysing.
+  const std::string program = sample_program(5);
+  serve::ProgramRegistry registry;
+  const auto entry = registry.intern(program);
+  ASSERT_TRUE(entry.ok()) << entry.status().to_string();
+  const core::StepProgram& interned = (*entry)->program();
+  std::size_t network_steps = 0;
+  for (std::size_t i = 0; i < interned.size(); ++i) {
+    const auto* comm = std::get_if<core::CommStep>(&interned.step(i));
+    if (comm == nullptr ||
+        comm->pattern.size() == comm->pattern.self_message_count()) {
+      continue;
+    }
+    ++network_steps;
+    EXPECT_NE(comm->canon, nullptr) << "comm step " << i;
+  }
+  EXPECT_GT(network_steps, 0u);
+
+  // Through the daemon (whose comm-step cache is on) a handle and the
+  // inline text predict the same bits, whichever of the two runs first.
+  start();
+  serve::Client client = connect();
+  ASSERT_TRUE(client.hello().ok());
+  const Result<std::uint64_t> handle = client.register_program(program);
+  ASSERT_TRUE(handle.ok()) << handle.status().to_string();
+  for (const std::uint64_t seed : {3u, 4u}) {
+    serve::PredictRequest by_handle;
+    by_handle.handle = handle.value();
+    by_handle.seed = seed;
+    serve::PredictRequest inline_text;
+    inline_text.program_text = program;
+    inline_text.seed = seed;
+    const bool handle_first = seed == 3;
+    const Result<serve::PredictReply> first =
+        client.predict(handle_first ? by_handle : inline_text);
+    const Result<serve::PredictReply> second =
+        client.predict(handle_first ? inline_text : by_handle);
+    ASSERT_TRUE(first.ok()) << first.status().to_string();
+    ASSERT_TRUE(second.ok()) << second.status().to_string();
+    EXPECT_FALSE(second->from_cache);  // both simulated
+    EXPECT_TRUE(same_bits(first->total_us, second->total_us));
+    EXPECT_TRUE(same_bits(first->comp_us, second->comp_us));
+    EXPECT_TRUE(same_bits(first->comm_us, second->comm_us));
+    EXPECT_TRUE(same_bits(first->total_worst_us, second->total_worst_us));
+    EXPECT_TRUE(same_bits(first->comm_worst_us, second->comm_worst_us));
+  }
+}
+
+TEST(ProgramRegistry, RegisterPinsNoCanonicalFormsInTheProcessPool) {
+  // A full registry rejects a program before canonicalizing it, and an
+  // admitted program's forms belong to its own steps: the process-wide
+  // pool does not grow, however many distinct programs a client sends.
+  const auto chain = [](int hops) {
+    std::string text = "procs 16\ncomm\n";
+    for (int p = 0; p < hops; ++p) {
+      text += "msg " + std::to_string(p) + " " + std::to_string(p + 1) +
+              " 4099\n";
+    }
+    return text;
+  };
+  serve::ProgramRegistry::Config config;
+  config.max_programs = 2;
+  serve::ProgramRegistry registry{config};
+  const std::size_t pool_before = pattern::PatternInterner::global().size();
+  for (int hops = 1; hops <= 8; ++hops) {
+    const auto entry = registry.intern(chain(hops));
+    if (hops <= 2) {
+      ASSERT_TRUE(entry.ok()) << entry.status().to_string();
+      EXPECT_NE(std::get<core::CommStep>((*entry)->program().step(0)).canon,
+                nullptr);
+    } else {
+      ASSERT_FALSE(entry.ok());
+      EXPECT_EQ(entry.status().code(), ErrorCode::kTransient);
+    }
+  }
+  const auto again = registry.intern(chain(2));  // a full registry dedups
+  ASSERT_TRUE(again.ok()) << again.status().to_string();
+  EXPECT_EQ(pattern::PatternInterner::global().size(), pool_before);
+  EXPECT_EQ(registry.stats().programs, 2u);
+  EXPECT_EQ(registry.stats().dedup_hits, 1u);
+}
+
+TEST(ProgramRegistry, WideProgramKeepsParticipantSizedStatePerStep) {
+  // procs 2^20 with many one-message comm steps is a small payload; what
+  // REGISTER keeps per step must be sized by the step's participants, not
+  // by procs (one procs-sized map per step would be 4 MiB each).
+  std::string text = "procs 1048576\n";
+  for (int s = 0; s < 64; ++s) {
+    text += "comm\nmsg " + std::to_string(s * 4000) + " " +
+            std::to_string(s * 4000 + 1) + " 8\n";
+  }
+  serve::ProgramRegistry registry;
+  const auto entry = registry.intern(text);
+  ASSERT_TRUE(entry.ok()) << entry.status().to_string();
+  const core::StepProgram& program = (*entry)->program();
+  ASSERT_EQ(program.comm_step_count(), 64u);
+  for (std::size_t i = 0; i < program.size(); ++i) {
+    const auto& comm = std::get<core::CommStep>(program.step(i));
+    EXPECT_NE(comm.canon, nullptr) << "comm step " << i;
+    EXPECT_EQ(comm.from_canonical.size(), 2u) << "comm step " << i;
+  }
 }
 
 // --- reconnect + partial writes (satellite: client resilience) -----------

@@ -109,6 +109,22 @@ TEST(Canonicalizer, HashMatchesMaterializedForm) {
   }
 }
 
+TEST(Canonicalizer, ReusedInstanceMatchesAFreshOne) {
+  // analyze() clears only the ids its last call set, so a reused instance
+  // must still agree with a fresh one as procs shrinks and grows.
+  util::Rng rng{7};
+  pattern::Canonicalizer reused;
+  for (const int procs : {12, 5, 16, 3, 16, 9}) {
+    const auto p =
+        pattern::random_pattern(rng, procs, 10, Bytes{16}, Bytes{64});
+    pattern::Canonicalizer fresh;
+    EXPECT_EQ(reused.analyze(p), fresh.analyze(p));
+    EXPECT_EQ(reused.to_canonical(), fresh.to_canonical());
+    EXPECT_EQ(reused.from_canonical(), fresh.from_canonical());
+    EXPECT_EQ(reused.hash(), fresh.hash());
+  }
+}
+
 TEST(StructuralHash, ConsistentWithEquality) {
   const layout::DiagonalMap map{4};
   const auto a = ge::build_ge_program(ge::GeConfig{.n = 96, .block = 16}, map);
@@ -168,8 +184,12 @@ TEST(Interner, GeProgramSharesRotatedBroadcasts) {
     ++comm_steps;
     if (c->canon != nullptr) {
       ++interned;
-      // The recorded relabeling must actually map the pattern onto the form.
-      EXPECT_TRUE(pattern::canonical_equals(c->pattern, c->to_canonical,
+      // The recorded relabeling must be the pattern's, and map it onto
+      // the form.
+      pattern::Canonicalizer fresh;
+      ASSERT_GT(fresh.analyze(c->pattern), 0);
+      EXPECT_EQ(c->from_canonical, fresh.from_canonical());
+      EXPECT_TRUE(pattern::canonical_equals(c->pattern, fresh.to_canonical(),
                                             c->canon->form));
       EXPECT_EQ(c->from_canonical.size(),
                 static_cast<std::size_t>(c->canon->form.procs()));
@@ -252,6 +272,37 @@ TEST(SharedStepCache, RelabeledStepHitsAndCounts) {
   (void)sim.run(a, costs);
   EXPECT_EQ(cache.stats().relabel_hits, 1u);
   EXPECT_EQ(cache.stats().hits, 2u);
+}
+
+TEST(SharedStepCache, StepsInternedInSeparatePoolsMatchByForm) {
+  // Two pools hand out two form objects for one pattern shape; the cache
+  // then verifies an interned step by comparing forms, so the relabeled
+  // copy still hits and translates exactly.
+  pattern::PatternInterner pool_a;
+  pattern::PatternInterner pool_b;
+  std::vector<ProcId> perm{3, 4, 5, 6, 7, 0, 1, 2};
+  const auto base = pattern::flat_broadcast(8, Bytes{512}, /*root=*/0);
+  const auto a = one_step_program(base, pool_a);
+  const auto b = one_step_program(relabel(base, perm), pool_b);
+  ASSERT_NE(std::get<CommStep>(a.step(0)).canon,
+            std::get<CommStep>(b.step(0)).canon);
+
+  const auto params = loggp::presets::meiko_cs2(8);
+  const core::CostTable costs;
+  runtime::SharedStepCache cache;
+  core::ProgramSimOptions opts;
+  opts.step_cache = &cache;
+  const core::ProgramSimulator sim{params, opts};
+  (void)sim.run(a, costs);
+  const auto rb = sim.run(b, costs);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().relabel_hits, 1u);
+  EXPECT_EQ(cache.stats().entries, 1u);
+
+  const auto uncached = core::ProgramSimulator{params}.run(b, costs);
+  for (std::size_t p = 0; p < 8; ++p) {
+    EXPECT_EQ(rb.proc_end[p].us(), uncached.proc_end[p].us());
+  }
 }
 
 TEST(SharedStepCache, WorstCaseKeysIncludeSeed) {

@@ -7,9 +7,11 @@
 # reading past a malformed frame or file, batch state outliving its
 # predict_all call).  Then: a standalone-header pass, a
 # logsimd/logsim_client serve smoke (ephemeral port, scripted session,
-# clean SIGTERM), the serving and batch-runtime tests under
-# ThreadSanitizer, and the Release perf gate (perf_regression +
-# serve_throughput into BENCH_perf.json).
+# clean SIGTERM), the benchmark's self-test (logbench built in Release
+# against these sources, every workload's small mode with its oracle
+# checks), the serving and batch-runtime tests under ThreadSanitizer, and
+# the Release perf gate (perf_regression + serve_throughput into
+# BENCH_perf.json).
 #
 # Usage: tools/ci.sh [build-dir-prefix]
 #   LOGSIM_CI_SANITIZER=undefined tools/ci.sh   # swap ASan for UBSan
@@ -206,6 +208,14 @@ wait "$logsimd_pid" || {
 }
 logsimd_pid=""
 echo "==> [serve] smoke OK (port $port, clean shutdown)"
+
+# Benchmark self-test: logbench/ compiles against the library's runtime
+# API (prediction keys, the cache, the registry memo), so a library change
+# can break the benchmark's build or its bit-identity checks without
+# failing a test above.  Builds a Release tree under .bench_build/.
+echo "==> [logbench] selftest: every workload's small mode"
+(cd "$repo_root" && python3 logbench/selftest.py)
+echo "==> [logbench] selftest OK"
 
 # The serving layer is the most concurrency-dense code in the repo (N
 # epoll reactors, a worker pool, cross-connection coalescing, a shared
