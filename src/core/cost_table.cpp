@@ -62,11 +62,6 @@ Result<Time> CostTable::cost_checked(OpId op, int block_size) const {
   return cost(op, block_size);
 }
 
-bool CostTable::has_calibration(OpId op) const {
-  return op >= 0 && op < op_count() &&
-         !ops_[static_cast<std::size_t>(op)].points.empty();
-}
-
 const std::string& CostTable::name(OpId op) const {
   return ops_.at(static_cast<std::size_t>(op)).name;
 }

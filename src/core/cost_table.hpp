@@ -41,7 +41,10 @@ class CostTable {
 
   /// True when `op` is registered and has at least one calibration point,
   /// i.e. cost() is safe to call.
-  [[nodiscard]] bool has_calibration(OpId op) const;
+  [[nodiscard]] bool has_calibration(OpId op) const {
+    return op >= 0 && op < op_count() &&
+           !ops_[static_cast<std::size_t>(op)].points.empty();
+  }
 
   [[nodiscard]] int op_count() const { return static_cast<int>(ops_.size()); }
   [[nodiscard]] const std::string& name(OpId op) const;

@@ -9,9 +9,21 @@ Predictor::Predictor(loggp::Params params, ProgramSimOptions opts)
 
 Result<Prediction> Predictor::predict(const StepProgram& program,
                                       const CostTable& costs) const {
+  Result<CompiledProgram> compiled = compile(program, costs, params_);
+  if (!compiled.ok()) {
+    return Status{compiled.status()}.with_context(
+        "while validating prediction inputs");
+  }
+  return predict(*compiled);
+}
+
+Result<Prediction> Predictor::predict(const CompiledProgram& compiled) const {
   obs::Span span{obs::TraceSession::global(), "predict", "core"};
-  if (Status st = validate_inputs(program, costs, params_); !st.ok()) {
-    return st.with_context("while validating prediction inputs");
+  const StepProgram& program = compiled.program();
+  const CostTable& costs = compiled.costs();
+  if (!params_.valid()) {  // compile() checked its params, maybe not these
+    return validate_inputs(program, costs, params_)
+        .with_context("while validating prediction inputs");
   }
   ProgramSimOptions std_opts = opts_;
   std_opts.worst_case = false;

@@ -5,12 +5,13 @@
 // standard and the worst-case communication schedules.
 //
 // API shape: predict() is THE entry point and returns Result<Prediction>.
-// It validates its inputs (validate_inputs) and honours the options'
-// cancel token / deadline between simulation steps, so invalid input,
-// cancellation and deadline expiry come back as a Status -- never an
-// assert or a hang.  predict_or_die() is the thin convenience for tests,
-// examples and benches that know their inputs are good: it unwraps the
-// Result and dies (Result::value's logic_error) on failure.
+// It compiles its inputs (compile(), or takes a CompiledProgram) and
+// honours the options' cancel token / deadline between simulation steps,
+// so invalid input, cancellation and deadline expiry come back as a
+// Status -- never an assert or a hang.  predict_or_die() is the thin
+// convenience for tests, examples and benches that know their inputs are
+// good: it unwraps the Result and dies (Result::value's logic_error) on
+// failure.
 
 #include "core/program_sim.hpp"
 
@@ -39,6 +40,9 @@ class Predictor {
   /// worst-case pass never touches it.
   [[nodiscard]] Result<Prediction> predict(const StepProgram& program,
                                            const CostTable& costs) const;
+  /// predict() without a second validation walk.
+  [[nodiscard]] Result<Prediction> predict(
+      const CompiledProgram& compiled) const;
 
   /// predict() for callers with known-good inputs and no stop controls:
   /// unwraps the Result, terminating via Result::value()'s logic_error if

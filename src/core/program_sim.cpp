@@ -4,10 +4,12 @@
 #include <string>
 #include <utility>
 #include <variant>
+#include <vector>
 
 #include "core/parallel_comm.hpp"
 #include "network/network_model.hpp"
 #include "obs/trace.hpp"
+#include "util/hash.hpp"
 
 namespace logsim::core {
 
@@ -23,8 +25,111 @@ Time ProgramResult::comm_max() const {
   return t;
 }
 
-Status validate_inputs(const StepProgram& program, const CostTable& costs,
-                       const loggp::Params& params) {
+namespace {
+
+/// A work item's key word: (proc, op, block) packed into 24, 8 and 31 bits
+/// when each fits (a negative value wraps to a huge one, which does not),
+/// else an escape word -- bit 63 set, which no packed word has -- and the
+/// three fields.
+void mix_item(util::Hasher& h, const WorkItem& item) {
+  const auto proc = static_cast<std::uint64_t>(item.proc);
+  const auto op = static_cast<std::uint64_t>(item.op);
+  const auto block = static_cast<std::uint64_t>(item.block_size);
+  if (proc < (1u << 24) && op < (1u << 8) && block < (1ull << 31)) {
+    return h.mix_u64(block << 32 | op << 24 | proc);
+  }
+  for (const std::uint64_t w : {~std::uint64_t{0}, proc, op, block}) {
+    h.mix_u64(w);
+  }
+}
+
+/// A failed check of step `s`; its suffix is formatted only on failure.
+Status bad(const std::string& what, std::size_t s) {
+  return Status::invalid_input(what + " in step " + std::to_string(s));
+}
+
+/// The one walk over a program: checks each step against `costs` (kCheck;
+/// the first violation ends it) and folds it into `h` (kHash), so the
+/// checks and the key encoding each exist once.
+template <bool kCheck, bool kHash>
+Status walk(const StepProgram& program, const CostTable& costs,
+            util::Hasher& h) {
+  const int procs = program.procs();
+  if constexpr (kHash) {
+    h.mix_i64(procs);
+    h.mix_u64(program.size());
+  }
+  for (std::size_t s = 0; s < program.size(); ++s) {
+    const auto& entry = program.step(s);
+    if (const auto* cs = std::get_if<ComputeStep>(&entry)) {
+      if constexpr (kHash) {
+        h.mix_u64(0);  // step-kind tag
+        h.mix_u64(cs->items.size());
+      }
+      for (const auto& item : cs->items) {
+        if constexpr (kCheck) {
+          if (item.proc < 0 || item.proc >= procs) {
+            return bad("work item processor " + std::to_string(item.proc) +
+                           " out of range [0, " + std::to_string(procs) + ")",
+                       s);
+          }
+          if (item.op < 0 || item.op >= costs.op_count()) {
+            return bad("work item references unregistered op " +
+                           std::to_string(item.op), s);
+          }
+          if (!costs.has_calibration(item.op)) {
+            return bad("op '" + costs.name(item.op) +
+                           "' has no calibration points", s);
+          }
+          if (item.block_size < 1) {
+            return bad("work item block size " +
+                           std::to_string(item.block_size) +
+                           " must be positive", s);
+          }
+        }
+        if constexpr (kHash) mix_item(h, item);
+      }
+    } else {
+      const auto& pattern = std::get<CommStep>(entry).pattern;
+      if constexpr (kCheck) {
+        if (pattern.procs() != procs) {
+          return bad("comm step over " + std::to_string(pattern.procs()) +
+                         " processors inside a " + std::to_string(procs) +
+                         "-processor program", s);
+        }
+        if (!pattern.valid()) return bad("message endpoint out of range", s);
+      }
+      if constexpr (kHash) {
+        h.mix_u64(1);
+        h.mix_u64(pattern.hash());
+      }
+    }
+  }
+  return Status{};
+}
+
+/// Folds the calibration into a program digest: op names and points, in
+/// registration order (items address ops by id, so order is meaningful).
+std::uint64_t with_costs(std::uint64_t program_digest, const CostTable& costs) {
+  util::Hasher h;
+  h.mix_u64(program_digest);
+  h.mix_i64(costs.op_count());
+  for (OpId op = 0; op < costs.op_count(); ++op) {
+    const std::string& name = costs.name(op);
+    h.mix_bytes(name.data(), name.size());
+    for (const int block : costs.block_sizes(op)) {
+      h.mix_i64(block);
+      h.mix_double(costs.cost(op, block).us());
+    }
+  }
+  return h.digest();
+}
+
+}  // namespace
+
+Result<CompiledProgram> compile(const StepProgram& program,
+                                const CostTable& costs,
+                                const loggp::Params& params, bool keyed) {
   if (!params.valid()) {
     return Status::invalid_input("invalid LogGP parameters " +
                                  params.to_string());
@@ -32,45 +137,19 @@ Status validate_inputs(const StepProgram& program, const CostTable& costs,
   if (program.procs() < 1) {
     return Status::invalid_input("program needs at least one processor");
   }
-  for (std::size_t s = 0; s < program.size(); ++s) {
-    const auto& entry = program.step(s);
-    const std::string where = " in step " + std::to_string(s);
-    if (const auto* cs = std::get_if<ComputeStep>(&entry)) {
-      for (const auto& item : cs->items) {
-        if (item.proc < 0 || item.proc >= program.procs()) {
-          return Status::invalid_input(
-              "work item processor " + std::to_string(item.proc) +
-              " out of range [0, " + std::to_string(program.procs()) + ")" +
-              where);
-        }
-        if (item.op < 0 || item.op >= costs.op_count()) {
-          return Status::invalid_input("work item references unregistered op " +
-                                       std::to_string(item.op) + where);
-        }
-        if (!costs.has_calibration(item.op)) {
-          return Status::invalid_input("op '" + costs.name(item.op) +
-                                       "' has no calibration points" + where);
-        }
-        if (item.block_size < 1) {
-          return Status::invalid_input("work item block size " +
-                                       std::to_string(item.block_size) +
-                                       " must be positive" + where);
-        }
-      }
-    } else {
-      const auto& pattern = std::get<CommStep>(entry).pattern;
-      if (pattern.procs() != program.procs()) {
-        return Status::invalid_input(
-            "comm step over " + std::to_string(pattern.procs()) +
-            " processors inside a " + std::to_string(program.procs()) +
-            "-processor program" + where);
-      }
-      if (!pattern.valid()) {
-        return Status::invalid_input("message endpoint out of range" + where);
-      }
-    }
-  }
-  return Status{};
+  util::Hasher h;
+  Status st = keyed ? walk<true, true>(program, costs, h)
+                    : walk<true, false>(program, costs, h);
+  if (!st.ok()) return st;
+  std::optional<std::uint64_t> hash;
+  if (keyed) hash = with_costs(h.digest(), costs);
+  return CompiledProgram{program, costs, hash};
+}
+
+std::uint64_t program_hash(const StepProgram& program, const CostTable& costs) {
+  util::Hasher h;
+  (void)walk<false, true>(program, costs, h);
+  return with_costs(h.digest(), costs);
 }
 
 ProgramSimulator::ProgramSimulator(loggp::Params params, ProgramSimOptions opts)
@@ -131,6 +210,21 @@ Result<ProgramResult> ProgramSimulator::run_checked(const StepProgram& program,
   obs::TraceSession& tracer = obs::TraceSession::global();
   obs::SimTraceRecorder* const recorder = opts_.sim_trace;
   if (recorder != nullptr) recorder->clear();
+  // Per-run cost memo: each op's last block size and its cost.  cost() is
+  // pure and items keep their order, so every sum is unchanged.  An op
+  // outside the table (unvalidated runs only) and block 0, the empty mark,
+  // go straight to cost(), which behaves as it always has.
+  struct LastCost {
+    int block = 0;
+    Time cost;
+  };
+  std::vector<LastCost> memo(static_cast<std::size_t>(costs.op_count()));
+  const auto cost_of = [&](OpId op, int block) {
+    const auto i = static_cast<std::size_t>(op);
+    if (i >= memo.size() || block == 0) return costs.cost(op, block);
+    if (memo[i].block != block) memo[i] = {block, costs.cost(op, block)};
+    return memo[i].cost;
+  };
 
   for (std::size_t step = 0; step < program.size(); ++step) {
     if (check_cancel && opts_.cancel.cancelled()) {
@@ -148,7 +242,7 @@ Result<ProgramResult> ProgramSimulator::run_checked(const StepProgram& program,
       obs::Span span{tracer, "sim.comp_step", "core", step};
       if (recorder != nullptr) recorder->begin_step("comp", step, n);
       for (const auto& item : cs->items) {
-        Time dt = costs.cost(item.op, item.block_size);
+        Time dt = cost_of(item.op, item.block_size);
         if (opts_.compute_overhead) dt += opts_.compute_overhead(item);
         const auto p = static_cast<std::size_t>(item.proc);
         const Time before = clock[p];

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "core/comm_sim.hpp"
@@ -73,14 +74,55 @@ struct ProgramResult {
   [[nodiscard]] Time comm_max() const;
 };
 
+class CompiledProgram;
+
+/// The compile pass, one walk over the program (DESIGN.md §7): the
+/// validate_inputs() checks and, when `keyed`, program_hash() on the way.
+[[nodiscard]] Result<CompiledProgram> compile(const StepProgram& program,
+                                              const CostTable& costs,
+                                              const loggp::Params& params,
+                                              bool keyed = false);
+
+/// A program that passed compile()'s checks; only compile() makes one.  It
+/// shares the program (O(1)) and borrows the costs, which must outlive it.
+class CompiledProgram {
+ public:
+  [[nodiscard]] const StepProgram& program() const { return program_; }
+  [[nodiscard]] const CostTable& costs() const { return *costs_; }
+  /// program_hash(program(), costs()) if compiled `keyed`, else nullopt.
+  [[nodiscard]] std::optional<std::uint64_t> hash() const { return hash_; }
+
+ private:
+  friend Result<CompiledProgram> compile(const StepProgram&, const CostTable&,
+                                         const loggp::Params&, bool);
+  CompiledProgram(const StepProgram& program, const CostTable& costs,
+                  std::optional<std::uint64_t> hash)
+      : program_(program), costs_(&costs), hash_(hash) {}
+
+  StepProgram program_;
+  const CostTable* costs_;
+  std::optional<std::uint64_t> hash_;
+};
+
 /// Boundary validation establishing the simulator preconditions that the
 /// hot path only assert()s: valid LogGP parameters, every work item
 /// referencing an in-range processor / calibrated op / positive block
 /// size, and every comm step sized to the program.  Returns the first
 /// violation as an invalid-input Status.
-[[nodiscard]] Status validate_inputs(const StepProgram& program,
-                                     const CostTable& costs,
-                                     const loggp::Params& params);
+[[nodiscard]] inline Status validate_inputs(const StepProgram& program,
+                                            const CostTable& costs,
+                                            const loggp::Params& params) {
+  return compile(program, costs, params).status();
+}
+
+/// Structural hash of a program and its cost table, the value a keyed
+/// compile() records (here unvalidated): a word per work item packing
+/// (proc, op, block), CommPattern::hash() per comm step, then the table.
+/// It skips touched ids, which the LogGP predictor never reads, so a key
+/// built on it is verified with StepProgram::operator==, which compares
+/// them.  The program half of every prediction and registry key.
+[[nodiscard]] std::uint64_t program_hash(const StepProgram& program,
+                                         const CostTable& costs);
 
 class ProgramSimulator {
  public:

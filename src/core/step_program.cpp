@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "pattern/canonical.hpp"
-#include "util/hash.hpp"
 
 namespace logsim::core {
 
@@ -73,30 +72,6 @@ void StepProgram::intern_patterns(pattern::PatternInterner& interner) {
     out.canon = std::move(shared);
     out.from_canonical = canon.from_canonical();
   }
-}
-
-std::uint64_t structural_hash(const StepProgram& program) {
-  util::Hasher h;
-  h.mix_i64(program.procs());
-  h.mix_u64(program.size());
-  for (std::size_t i = 0; i < program.size(); ++i) {
-    const auto& step = program.step(i);
-    if (const auto* comp = std::get_if<ComputeStep>(&step)) {
-      h.mix_u64(0);  // step-kind tag
-      h.mix_u64(comp->items.size());
-      for (const auto& item : comp->items) {
-        h.mix_i64(item.proc);
-        h.mix_i64(item.op);
-        h.mix_i64(item.block_size);
-        h.mix_u64(item.touched.size());
-        for (std::int64_t id : item.touched) h.mix_i64(id);
-      }
-    } else {
-      h.mix_u64(1);
-      h.mix_u64(std::get<CommStep>(step).pattern.hash());
-    }
-  }
-  return h.digest();
 }
 
 }  // namespace logsim::core

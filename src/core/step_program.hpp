@@ -110,8 +110,10 @@ class StepProgram {
   void intern_patterns(pattern::PatternInterner& interner);
 
   /// Structural equality: same processor count and step-for-step identical
-  /// contents (O(1) when both share one step list).  The prediction cache
-  /// relies on this to tell true hits from 64-bit hash collisions.
+  /// contents, touched ids included (O(1) when both share one step list).
+  /// The prediction cache relies on this to tell true hits from 64-bit
+  /// hash collisions and from programs its key does not tell apart
+  /// (core::program_hash skips touched ids).
   friend bool operator==(const StepProgram& a, const StepProgram& b) {
     return a.procs_ == b.procs_ &&
            (a.steps_ == b.steps_ || *a.steps_ == *b.steps_);
@@ -125,11 +127,5 @@ class StepProgram {
   int procs_;
   std::shared_ptr<std::vector<Step>> steps_;  // never null
 };
-
-/// Structural hash of a whole program: the companion to
-/// StepProgram::operator==.  Comm steps are folded in via
-/// CommPattern::hash(), so the prediction cache and the comm-step cache
-/// share one message encoding.
-[[nodiscard]] std::uint64_t structural_hash(const StepProgram& program);
 
 }  // namespace logsim::core

@@ -1,12 +1,16 @@
 #include "io/program_io.hpp"
 
+#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <new>
 #include <optional>
 #include <sstream>
 #include <variant>
+#include <vector>
 
 #include "fault/failpoint.hpp"
 #include "pattern/comm_pattern.hpp"
@@ -17,6 +21,31 @@ namespace {
 
 Status fail(int line, std::string message) {
   return Status::invalid_input(std::move(message)).at_line(line);
+}
+
+/// Appends the integers left on `line` past the stream's position to
+/// `out`, up to an optional '#' comment, and consumes the line.  False on
+/// any other token or a value that does not fit: nothing is narrowed or
+/// dropped.
+bool read_rest(std::istringstream& ls, const std::string& line,
+               std::vector<std::int64_t>& out) {
+  const std::streamoff at = ls.tellg();  // -1 once the line is used up
+  ls.setstate(std::ios::eofbit);
+  const char* p =
+      line.data() + (at < 0 ? line.size() : static_cast<std::size_t>(at));
+  const char* const end = line.data() + line.size();
+  const auto space = [&](const char* c) {
+    return c == end || std::isspace(static_cast<unsigned char>(*c)) != 0;
+  };
+  for (;;) {
+    while (p != end && space(p)) ++p;
+    if (p == end || *p == '#') return true;
+    std::int64_t value = 0;
+    const auto [next, ec] = std::from_chars(p, end, value);
+    if (ec != std::errc{} || !space(next)) return false;
+    out.push_back(value);
+    p = next;
+  }
 }
 
 /// Shared oversize guard: parsers reject the whole payload before touching
@@ -49,6 +78,7 @@ Result<ProgramBundle> parse_program(const std::string& text,
   // calibration check (an uncalibrated op used to surface only as a debug
   // assert -- or empty-vector UB -- inside CostTable::cost()).
   std::map<core::OpId, int> op_first_use;
+  std::vector<std::int64_t> rest;  // a line's trailing fields, reused
 
   auto close_section = [&] {
     if (open_compute.has_value()) {
@@ -104,15 +134,17 @@ Result<ProgramBundle> parse_program(const std::string& text,
       }
       long long proc = -1, op = -1, block = 0;
       if (!(ls >> proc >> op >> block) || proc < 0 || proc >= procs ||
-          op < 0 || op >= costs.op_count() || block < 1) {
+          op < 0 || op >= costs.op_count() || block < 1 ||
+          block > std::numeric_limits<int>::max()) {
         return fail(line_no, "'item' needs: proc op block [touched...]");
       }
       core::WorkItem item;
       item.proc = static_cast<ProcId>(proc);
       item.op = static_cast<core::OpId>(op);
       item.block_size = static_cast<int>(block);
-      long long uid = 0;
-      while (ls >> uid) item.touched.push_back(uid);
+      if (!read_rest(ls, line, item.touched)) {
+        return fail(line_no, "'item' needs: proc op block [touched...]");
+      }
       op_first_use.emplace(item.op, line_no);
       open_compute->items.push_back(std::move(item));
     } else if (keyword == "msg") {
@@ -124,11 +156,20 @@ Result<ProgramBundle> parse_program(const std::string& text,
           dst >= procs || bytes < 0) {
         return fail(line_no, "'msg' needs: src dst bytes [tag]");
       }
-      ls >> tag;
+      rest.clear();
+      if (!read_rest(ls, line, rest) || rest.size() > 1) {
+        return fail(line_no, "'msg' needs: src dst bytes [tag]");
+      }
+      if (!rest.empty()) tag = rest.front();
       open_comm->add(static_cast<ProcId>(src), static_cast<ProcId>(dst),
                      Bytes{static_cast<std::uint64_t>(bytes)}, tag);
     } else {
       return fail(line_no, "unknown keyword '" + keyword + "'");
+    }
+    rest.clear();
+    if (!read_rest(ls, line, rest) || !rest.empty()) {
+      return fail(line_no, "unexpected tokens after '" + keyword +
+                               "' (only a '#' comment may follow)");
     }
   }
   if (!program.has_value()) return fail(line_no, "missing 'procs'");

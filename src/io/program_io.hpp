@@ -12,13 +12,15 @@
 //   msg 0 1 1024 7           # msg <src> <dst> <bytes> [tag]
 //
 // Sections end at the next section keyword or EOF.  Declarations (procs/
-// op/cost) must precede the first section.
+// op/cost) must precede the first section.  A '#' starts a comment, at the
+// start of a line or after its fields; any other trailing token is an
+// error, never dropped.
 //
 // Untrusted boundary: every malformation is a line-numbered invalid-input
 // Status.  Beyond per-line syntax, the parser checks cross-references that
 // used to be caught only by debug asserts downstream: every item's op must
-// end up calibrated (>= 1 cost point), processor ids must be in range, and
-// cost values must be finite.
+// end up calibrated (>= 1 cost point), processor ids must be in range, a
+// block size must fit an int, and cost values must be finite.
 
 #include <cstddef>
 #include <string>

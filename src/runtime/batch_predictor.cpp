@@ -3,6 +3,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <initializer_list>
 #include <mutex>
 #include <new>
 #include <thread>
@@ -28,12 +29,6 @@ double to_us(std::chrono::steady_clock::duration d) {
 }
 
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
-
-/// True when the model adds nothing over flat LogGP -- the only regime
-/// where prediction keys (which do not carry a topology) are sound.
-bool flat_net(const network::NetworkModel* net) {
-  return net == nullptr || net->is_flat();
-}
 
 }  // namespace
 
@@ -112,18 +107,13 @@ JobResult BatchPredictor::predict_one(const PredictJob& job,
   return result;
 }
 
-std::optional<std::uint64_t> BatchPredictor::cache_key(
-    const PredictJob& job) const {
+bool BatchPredictor::keyed(const PredictJob& job) const {
   // A compute_overhead closure is opaque to the canonical hash, a traced
   // job must actually simulate, and a shaped network is not part of the
-  // key: all of them bypass the cache.
-  if (cache_ == nullptr || job.program == nullptr || job.costs == nullptr ||
-      job.bypass_cache || sim_.compute_overhead || job.sim_trace != nullptr ||
-      !flat_net(job.net != nullptr ? job.net : sim_.net)) {
-    return std::nullopt;
-  }
-  return prediction_key_hash(*job.program, *job.costs, job.params,
-                             job.seed.value_or(sim_.seed));
+  // key: all of them bypass the cache, so their compile hashes nothing.
+  const network::NetworkModel* net = job.net != nullptr ? job.net : sim_.net;
+  return cache_ != nullptr && !job.bypass_cache && !sim_.compute_overhead &&
+         job.sim_trace == nullptr && (net == nullptr || net->is_flat());
 }
 
 JobResult BatchPredictor::run_job(const PredictJob& job,
@@ -170,10 +160,18 @@ Status BatchPredictor::run_attempt(
       return st.with_context("while running a prediction job");
     }
     const std::uint64_t seed = job.seed.value_or(sim_.seed);
-    // Hashed here, on the worker, so the key walk runs in parallel and
-    // counts in batch.job_wall; it serves the lookup and the miss insert.
-    const std::optional<std::uint64_t> key = cache_key(job);
-    if (key.has_value()) {
+    // One walk, on the worker, so it runs in parallel and counts in
+    // batch.job_wall: it validates the job and, for a cached job, hashes
+    // the key that serves the lookup and the miss insert.
+    Result<core::CompiledProgram> compiled =
+        core::compile(*job.program, *job.costs, job.params, keyed(job));
+    if (!compiled.ok()) {
+      return Status{compiled.status()}.with_context(
+          "while validating prediction inputs");
+    }
+    std::optional<std::uint64_t> key;
+    if (const auto hash = compiled->hash()) {
+      key = prediction_key_hash(*hash, job.params, seed);
       if (auto hit = cache_->lookup(*key, *job.program, *job.costs,
                                     job.params, seed)) {
         result->prediction = std::move(hit);
@@ -188,8 +186,7 @@ Status BatchPredictor::run_attempt(
     opts.seed = seed;
     if (job.net != nullptr) opts.net = job.net;
     const core::Predictor predictor{job.params, opts};
-    Result<core::Prediction> prediction =
-        predictor.predict(*job.program, *job.costs);
+    Result<core::Prediction> prediction = predictor.predict(*compiled);
     if (!prediction.ok()) return prediction.status();
     result->prediction = std::move(prediction).value();
     if (key.has_value()) {
@@ -212,29 +209,36 @@ void BatchPredictor::publish_cache_gauges() {
         "fault.failpoint_fires",
         std::to_string(fault::FailpointRegistry::global().total_fires()));
   }
+  using Counts = std::initializer_list<std::pair<const char*, std::uint64_t>>;
+  const auto publish = [this](const std::string& prefix, Counts counts,
+                              double hit_rate) {
+    for (const auto& [name, value] : counts) {
+      metrics_->set_gauge(prefix + name, std::to_string(value));
+    }
+    metrics_->set_gauge(prefix + "hit_rate",
+                        util::fmt(hit_rate * 100.0, 1) + "%");
+  };
   if (step_cache_ != nullptr) {
-    const SharedStepCache::Stats stats = step_cache_->stats();
-    metrics_->set_gauge("step_cache.hits", std::to_string(stats.hits));
-    metrics_->set_gauge("step_cache.relabel_hits",
-                        std::to_string(stats.relabel_hits));
-    metrics_->set_gauge("step_cache.misses", std::to_string(stats.misses));
-    metrics_->set_gauge("step_cache.entries", std::to_string(stats.entries));
-    metrics_->set_gauge("step_cache.bytes", std::to_string(stats.bytes));
-    metrics_->set_gauge("step_cache.evictions",
-                        std::to_string(stats.evictions));
-    metrics_->set_gauge("step_cache.hit_rate",
-                        util::fmt(stats.hit_rate() * 100.0, 1) + "%");
+    const SharedStepCache::Stats s = step_cache_->stats();
+    publish("step_cache.",
+            {{"hits", s.hits}, {"relabel_hits", s.relabel_hits},
+             {"misses", s.misses}, {"entries", s.entries},
+             {"bytes", s.bytes}, {"evictions", s.evictions},
+             {"std_shared_hits", s.std_shared.hits},
+             {"std_shared_insertions", s.std_shared.insertions},
+             {"std_exact_hits", s.std_exact.hits},
+             {"std_exact_insertions", s.std_exact.insertions},
+             {"worst_case_hits", s.worst_case.hits},
+             {"worst_case_insertions", s.worst_case.insertions}},
+            s.hit_rate());
   }
   if (cache_ == nullptr) return;
-  const PredictionCache::Stats stats = cache_->stats();
-  metrics_->set_gauge("cache.hits", std::to_string(stats.hits));
-  metrics_->set_gauge("cache.misses", std::to_string(stats.misses));
-  metrics_->set_gauge("cache.entries", std::to_string(stats.entries));
-  metrics_->set_gauge("cache.bytes", std::to_string(stats.bytes));
-  metrics_->set_gauge("cache.evictions", std::to_string(stats.evictions));
-  metrics_->set_gauge("cache.oversized", std::to_string(stats.oversized));
-  metrics_->set_gauge("cache.hit_rate",
-                      util::fmt(stats.hit_rate() * 100.0, 1) + "%");
+  const PredictionCache::Stats s = cache_->stats();
+  publish("cache.",
+          {{"hits", s.hits}, {"misses", s.misses}, {"entries", s.entries},
+           {"bytes", s.bytes}, {"evictions", s.evictions},
+           {"oversized", s.oversized}},
+          s.hit_rate());
 }
 
 }  // namespace logsim::runtime

@@ -141,10 +141,9 @@ class BatchPredictor {
   void publish_cache_gauges();
 
  private:
-  /// The job's prediction-cache key, or nullopt when it must bypass the
-  /// cache.  Computed by the worker that runs the job.
-  [[nodiscard]] std::optional<std::uint64_t> cache_key(
-      const PredictJob& job) const;
+  /// True when the job reads and fills the prediction cache, so its
+  /// compile pass also computes its key.
+  [[nodiscard]] bool keyed(const PredictJob& job) const;
   JobResult run_job(const PredictJob& job, std::uint64_t trace_id);
   Status run_attempt(const PredictJob& job,
                      std::chrono::steady_clock::time_point deadline,

@@ -5,28 +5,14 @@
 
 namespace logsim::runtime {
 
-std::uint64_t prediction_program_hash(const core::StepProgram& program,
-                                      const core::CostTable& costs) {
-  // One encoding for all structural keys: the program is folded in via
-  // core::structural_hash (which reuses CommPattern::hash per comm step).
-  util::Hasher h;
-  h.mix_u64(core::structural_hash(program));
-  // The calibration: op names and points, in registration order (the
-  // program's items address ops by id, so order is meaningful).
-  h.mix_i64(costs.op_count());
-  for (core::OpId op = 0; op < costs.op_count(); ++op) {
-    const std::string& name = costs.name(op);
-    h.mix_bytes(name.data(), name.size());
-    for (const int block : costs.block_sizes(op)) {
-      h.mix_i64(block);
-      h.mix_double(costs.cost(op, block).us());
-    }
-  }
-  return h.digest();
-}
-
 std::uint64_t prediction_key_hash(const core::StepProgram& program,
                                   const core::CostTable& costs,
+                                  const loggp::Params& params,
+                                  std::uint64_t seed) {
+  return prediction_key_hash(core::program_hash(program, costs), params, seed);
+}
+
+std::uint64_t prediction_key_hash(std::uint64_t program_hash,
                                   const loggp::Params& params,
                                   std::uint64_t seed) {
   util::Hasher h;
@@ -36,7 +22,7 @@ std::uint64_t prediction_key_hash(const core::StepProgram& program,
   h.mix_double(params.G);
   h.mix_i64(params.P);
   h.mix_u64(seed);
-  h.mix_u64(prediction_program_hash(program, costs));
+  h.mix_u64(program_hash);
   return h.digest();
 }
 

@@ -1,21 +1,19 @@
 #pragma once
 // Sharded memoization cache for predictions.
 //
-// Key: a 64-bit structural hash (util::Hasher) over the step program's
-// structure, its cost table, and the LogGP parameters (plus the simulation
-// seed, which changes worst-case tie-breaking).  The cost table is part of
-// the key because it is part of the answer: two programs with identical
-// structure but different calibrations predict different times -- a
-// distinction that never arose while every caller shared one process-wide
-// analytic table, but which the serving layer (cost tables arrive with
-// every request) makes load-bearing.  The hash selects a shard; each shard
-// holds an LRU list of entries guarded by its own mutex, so concurrent
-// pool workers only contend when they land on the same shard.  Because 64
-// bits can collide, every entry keeps its (program, costs, params) key and
-// lookups verify with operator== before reporting a hit -- a collision is
-// a miss, never a wrong answer.  The entry's program shares the caller's
-// step list (StepProgram copies are O(1)), so an insert copies nothing
-// program-sized.
+// Key: a 64-bit hash (util::Hasher) of the LogGP parameters, the seed
+// (worst-case tie-breaking) and core::program_hash: the program's structure
+// without touched ids, which the LogGP predictor never reads (DESIGN.md
+// §7), and its cost table -- part of the answer, since two calibrations of
+// one structure predict different times and the serving layer takes a
+// table with every request.  The hash selects a shard; each shard holds an
+// LRU list of entries guarded by its own mutex, so concurrent pool workers
+// only contend when they land on the same shard.  Because 64 bits can
+// collide, and programs differing only in touched ids share a key, every
+// entry keeps its (program, costs, params) key and lookups verify with
+// operator==, touched ids included -- either case is a miss, never a wrong
+// answer.  The entry's program shares the caller's step list (StepProgram
+// copies are O(1)), so an insert copies nothing program-sized.
 //
 // Eviction is by approximate byte footprint: each entry is charged for its
 // whole program (steps, work items, touched-block ids, messages), since it
@@ -38,18 +36,15 @@
 
 namespace logsim::runtime {
 
-/// Hash of the program-shaped half of a prediction key: the step
-/// program's structure (step kinds, work items, touched ids, messages) and
-/// the cost table (op names, calibration points).  The registry keys its
-/// registered programs on it.
-[[nodiscard]] std::uint64_t prediction_program_hash(
-    const core::StepProgram& program, const core::CostTable& costs);
-
-/// Hash of a whole prediction-cache key.  Identical (program, costs,
-/// params, seed) tuples always hash equal; logically equal inputs built by
-/// different code paths agree.
+/// Hash of a whole prediction-cache key, the one BatchPredictor gives a
+/// job.  Identical (program, costs, params, seed) tuples always hash equal;
+/// logically equal inputs built by different code paths agree.
 [[nodiscard]] std::uint64_t prediction_key_hash(const core::StepProgram& program,
                                                 const core::CostTable& costs,
+                                                const loggp::Params& params,
+                                                std::uint64_t seed);
+/// The same key from core::program_hash (a keyed compile's hash()).
+[[nodiscard]] std::uint64_t prediction_key_hash(std::uint64_t program_hash,
                                                 const loggp::Params& params,
                                                 std::uint64_t seed);
 

@@ -101,6 +101,7 @@ bool SharedStepCache::lookup(const core::CommStepQuery& query,
       if (!matches(*entry_it, query)) continue;
       shard.lru.splice(shard.lru.begin(), shard.lru, entry_it);
       ++shard.hits;
+      ++shard.kind(entry_it->worst_case, entry_it->exact).hits;
       const bool relabel =
           !entry_it->exact && entry_it->origin_perm != *query.from_canonical;
       if (relabel) ++shard.relabel_hits;
@@ -161,6 +162,7 @@ void SharedStepCache::insert(const core::CommStepQuery& query,
   shard.index[query.key_hash].push_back(shard.lru.begin());
   shard.bytes += shard.lru.front().bytes;
   ++shard.insertions;
+  ++shard.kind(query.worst_case, query.exact).insertions;
   if (obs::TraceSession& tracer = obs::TraceSession::global();
       tracer.enabled()) {
     tracer.instant("step_cache.insert", "cache");
@@ -199,6 +201,13 @@ SharedStepCache::Stats SharedStepCache::stats() const {
     total.evictions += shard.evictions;
     total.entries += shard.lru.size();
     total.bytes += shard.bytes;
+    const auto add = [](Stats::Kind& sum, const Stats::Kind& kind) {
+      sum.hits += kind.hits;
+      sum.insertions += kind.insertions;
+    };
+    add(total.std_shared, shard.std_shared);
+    add(total.std_exact, shard.std_exact);
+    add(total.worst_case, shard.worst_case);
   }
   return total;
 }

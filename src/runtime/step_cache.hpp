@@ -66,6 +66,14 @@ class SharedStepCache final : public core::StepCache {
     std::uint64_t evictions = 0;
     std::uint64_t entries = 0;
     std::uint64_t bytes = 0;
+    /// Hits and insertions by step kind (DESIGN.md §10.2): standard steps
+    /// shared across seeds and relabelings, exact-keyed standard steps
+    /// (mixed byte sizes) and worst-case steps.
+    struct Kind {
+      std::uint64_t hits = 0;
+      std::uint64_t insertions = 0;
+    };
+    Kind std_shared, std_exact, worst_case;
 
     [[nodiscard]] double hit_rate() const {
       const auto total = hits + misses;
@@ -121,6 +129,11 @@ class SharedStepCache final : public core::StepCache {
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
+    Stats::Kind std_shared, std_exact, worst_case;
+
+    [[nodiscard]] Stats::Kind& kind(bool worst, bool exact) {
+      return worst ? worst_case : exact ? std_exact : std_shared;
+    }
   };
 
   [[nodiscard]] static bool matches(const Entry& entry,

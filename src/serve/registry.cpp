@@ -2,22 +2,17 @@
 
 #include <utility>
 
+#include "core/program_sim.hpp"
 #include "pattern/canonical.hpp"
 #include "runtime/prediction_cache.hpp"
-#include "util/hash.hpp"
 
 namespace logsim::serve {
 
 std::size_t RegisteredProgram::MemoKeyHash::operator()(
     const MemoKey& key) const {
-  util::Hasher h;
-  h.mix_double(key.params.L.us());
-  h.mix_double(key.params.o.us());
-  h.mix_double(key.params.g.us());
-  h.mix_double(key.params.G);
-  h.mix_i64(key.params.P);
-  h.mix_u64(key.seed);
-  return static_cast<std::size_t>(h.digest());
+  // The prediction key with the program half fixed: one params encoding.
+  return static_cast<std::size_t>(
+      runtime::prediction_key_hash(0, key.params, key.seed));
 }
 
 std::optional<core::Prediction> RegisteredProgram::memo_lookup(
@@ -66,7 +61,7 @@ Result<std::shared_ptr<const RegisteredProgram>> ProgramRegistry::intern(
   // under two shapes must yield two handles (each entry's memo assumes a
   // fixed topology).
   const std::uint64_t content_key =
-      runtime::prediction_program_hash(bundle->program, bundle->costs) ^
+      core::program_hash(bundle->program, bundle->costs) ^
       topology.hash();
 
   std::unique_lock lock{mu_};

@@ -158,7 +158,7 @@ class ProgramRegistry {
   mutable std::shared_mutex mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<const RegisteredProgram>>
       by_handle_;
-  // (prediction_program_hash ^ topology hash) -> handles with that key
+  // (core::program_hash ^ topology hash) -> handles with that key
   // (usually one; collisions and equal re-registrations share the bucket,
   // verified by full program + topology equality).
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> by_content_;

@@ -1,6 +1,6 @@
 #pragma once
 // Shared structural hasher.  One implementation serves every structural key
-// in the library (CommPattern::hash, StepProgram structural_hash,
+// in the library (CommPattern::hash, core::program_hash,
 // TopologySpec::hash, the prediction and comm-step cache keys), so two
 // caches can never disagree about the encoding of the same object.
 //

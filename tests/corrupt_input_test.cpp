@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "io/params_io.hpp"
@@ -146,6 +148,12 @@ TEST(CorruptInput, ProgramCorpusYieldsStatusErrors) {
        "procs 2\nop a\ncost 0 16 1.0\ncompute\nitem 0 0 0\n"},
       {"comm msg out of range", "procs 2\ncomm\nmsg 0 5 8\n"},
       {"unknown keyword", "procs 2\nbogus\n"},
+      {"item block above INT_MAX",
+       "procs 2\nop a\ncost 0 16 1.0\ncompute\nitem 0 0 4294967300\n"},
+      {"item touched id not an integer",
+       "procs 2\nop a\ncost 0 16 1.0\ncompute\nitem 0 0 4 7 x 9\n"},
+      {"msg tag not an integer", "procs 2\ncomm\nmsg 0 1 8 abc\n"},
+      {"msg trailing token", "procs 2\ncomm\nmsg 0 1 8 5 junk\n"},
   };
   for (const auto& c : corpus) {
     const auto r = io::parse_program(c.text);
@@ -171,10 +179,14 @@ TEST(CorruptInput, ProgramUncalibratedOpRejectedAtParseTime) {
 TEST(CorruptInput, ProgramGoodInputStillParses) {
   const auto r = io::parse_program(
       "procs 2\nop a\ncost 0 16 1.0\ncompute\nitem 0 0 16\ncomm\n"
-      "msg 0 1 1024\n");
+      "msg 0 1 1024\n"
+      "compute\nitem 1 0 16 7 9  # touched blocks 7 and 9\n");
   ASSERT_TRUE(r.ok()) << r.status().to_string();
   EXPECT_EQ(r->program.procs(), 2);
   EXPECT_EQ(r->costs.op_count(), 1);
+  const auto& commented = std::get<core::ComputeStep>(r->program.step(2));
+  EXPECT_EQ(commented.items.at(0).touched,
+            (std::vector<std::int64_t>{7, 9}));
 }
 
 }  // namespace

@@ -20,6 +20,9 @@
 #include "ge/blocked_ge.hpp"
 #include "layout/layout.hpp"
 #include "loggp/params.hpp"
+#include "network/network_model.hpp"
+#include "network/topology_spec.hpp"
+#include "obs/sim_trace.hpp"
 #include "ops/analytic_model.hpp"
 #include "pattern/canonical.hpp"
 #include "runtime/batch_predictor.hpp"
@@ -188,7 +191,7 @@ TEST(Equality, StepProgramStructural) {
   EXPECT_NE(a, c);  // differs in one work item's block size
 
   // Copy-on-write: a copy shares the step storage...
-  const std::uint64_t hash_a = core::structural_hash(a);
+  const std::uint64_t hash_a = core::program_hash(a, {});
   auto copy = a;
   EXPECT_EQ(&copy.step(0), &a.step(0));
   EXPECT_EQ(copy, a);
@@ -209,7 +212,7 @@ TEST(Equality, StepProgramStructural) {
   EXPECT_EQ(std::get<core::CommStep>(a.step(1)).canon, nullptr);
   EXPECT_EQ(interned, a);  // canon is acceleration state, not content
   EXPECT_EQ(a.size(), 2u);
-  EXPECT_EQ(core::structural_hash(a), hash_a);
+  EXPECT_EQ(core::program_hash(a, {}), hash_a);
   EXPECT_EQ(a, b);
   // Nothing left to intern: the copy keeps sharing.
   auto again = interned;
@@ -518,6 +521,93 @@ TEST(PredictionCache, CanonicalHashIsStructural) {
             runtime::prediction_key_hash(tiny_program(4), costs, params, 1));
   EXPECT_NE(runtime::prediction_key_hash(tiny_program(4), costs, params, 1),
             runtime::prediction_key_hash(tiny_program(64), costs, params, 1));
+}
+
+TEST(PredictionCache, TouchedIdsShareAKeyButNeverAHit) {
+  // The key skips touched ids, which the LogGP predictor never reads;
+  // verification compares them, so the two programs collide on the key
+  // and still miss each other.
+  const auto costs = tiny_costs();
+  const auto params = loggp::presets::meiko_cs2(2);
+  core::StepProgram a{2};
+  core::StepProgram b{2};
+  a.add_compute(core::ComputeStep{{core::WorkItem{0, 0, 4, {1, 2}}}});
+  b.add_compute(core::ComputeStep{{core::WorkItem{0, 0, 4, {3}}}});
+  ASSERT_NE(a, b);
+  EXPECT_EQ(runtime::prediction_key_hash(a, costs, params, 1),
+            runtime::prediction_key_hash(b, costs, params, 1));
+
+  runtime::PredictionCache cache;
+  cache.insert(a, costs, params, 1,
+               core::Predictor{params}.predict_or_die(a, costs));
+  EXPECT_FALSE(cache.lookup(b, costs, params, 1).has_value());
+  EXPECT_TRUE(cache.lookup(a, costs, params, 1).has_value());
+}
+
+TEST(BatchPredictor, PublicKeyHashFindsWhatTheEngineInserted) {
+  // prediction_key_hash is the key the engine gives a job, so a hashed
+  // lookup with it hits the entry predict_all inserted.
+  const auto c = make_random_case(9);
+  runtime::PredictionCache cache;
+  runtime::metrics::Registry metrics;
+  runtime::BatchPredictor batch{
+      {.threads = 2, .sim = {}, .cache = &cache, .metrics = &metrics}};
+  runtime::PredictJob job{&c.program, c.params, &c.costs};
+  job.seed = 5;
+  const auto results = batch.predict_all({job});
+  ASSERT_TRUE(results[0].ok()) << results[0].error();
+  ASSERT_EQ(cache.stats().insertions, 1u);
+
+  const auto hit = cache.lookup(
+      runtime::prediction_key_hash(c.program, c.costs, c.params, 5),
+      c.program, c.costs, c.params, 5);
+  ASSERT_TRUE(hit.has_value());
+  expect_identical(*hit, results[0].value());
+}
+
+TEST(BatchPredictor, UnkeyedJobsNeverReachTheCache) {
+  // A bypass, non-flat, traced or compute_overhead job is compiled without
+  // a key: it neither probes nor fills the cache, and still predicts what
+  // the serial Predictor does.
+  const auto c = make_random_case(21);
+  const auto torus =
+      network::NetworkModel::create(network::TopologySpec::torus(4, 2));
+  ASSERT_FALSE(torus->is_flat());
+  obs::SimTraceRecorder recorder;
+  runtime::PredictJob bypass{&c.program, c.params, &c.costs};
+  bypass.bypass_cache = true;
+  runtime::PredictJob shaped{&c.program, c.params, &c.costs};
+  shaped.net = torus.get();
+  runtime::PredictJob traced{&c.program, c.params, &c.costs};
+  traced.sim_trace = &recorder;
+
+  runtime::PredictionCache cache;
+  runtime::metrics::Registry metrics;
+  runtime::BatchPredictor batch{
+      {.threads = 2, .sim = {}, .cache = &cache, .metrics = &metrics}};
+  for (const auto& job : {bypass, shaped, traced}) {
+    const auto result = batch.predict_one(job);
+    ASSERT_TRUE(result.ok()) << result.error();
+    core::ProgramSimOptions sim;
+    sim.net = job.net;
+    expect_identical(result.value(), core::Predictor{c.params, sim}
+                                         .predict_or_die(c.program, c.costs));
+  }
+  EXPECT_FALSE(recorder.empty());
+
+  core::ProgramSimOptions overhead;
+  overhead.compute_overhead = [](const core::WorkItem&) { return Time{1.0}; };
+  runtime::BatchPredictor with_overhead{
+      {.threads = 2, .sim = overhead, .cache = &cache, .metrics = &metrics}};
+  const auto result =
+      with_overhead.predict_one({&c.program, c.params, &c.costs});
+  ASSERT_TRUE(result.ok()) << result.error();
+  expect_identical(result.value(), core::Predictor{c.params, overhead}
+                                       .predict_or_die(c.program, c.costs));
+
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, 0u) << "an unkeyed job probed the cache";
+  EXPECT_EQ(stats.insertions, 0u) << "an unkeyed job filled the cache";
 }
 
 // ---------------------------------------------------------------- metrics

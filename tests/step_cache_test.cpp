@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/predictor.hpp"
@@ -25,6 +27,8 @@
 #include "ops/ge_ops.hpp"
 #include "pattern/builders.hpp"
 #include "pattern/canonical.hpp"
+#include "runtime/batch_predictor.hpp"
+#include "runtime/metrics.hpp"
 #include "runtime/step_cache.hpp"
 #include "util/rng.hpp"
 
@@ -131,8 +135,8 @@ TEST(StructuralHash, ConsistentWithEquality) {
   const auto b = ge::build_ge_program(ge::GeConfig{.n = 96, .block = 16}, map);
   const auto c = ge::build_ge_program(ge::GeConfig{.n = 96, .block = 24}, map);
   EXPECT_EQ(a, b);
-  EXPECT_EQ(core::structural_hash(a), core::structural_hash(b));
-  EXPECT_NE(core::structural_hash(a), core::structural_hash(c));
+  EXPECT_EQ(core::program_hash(a, {}), core::program_hash(b, {}));
+  EXPECT_NE(core::program_hash(a, {}), core::program_hash(c, {}));
 }
 
 // ---------------------------------------------------------------------------
@@ -328,6 +332,53 @@ TEST(SharedStepCache, WorstCaseKeysIncludeSeed) {
   opts.seed = 1;
   (void)core::ProgramSimulator{params, opts}.run(program, costs);
   EXPECT_EQ(cache.stats().hits, 1u) << "same seed must hit its own entry";
+}
+
+TEST(SharedStepCache, HitsAndInsertionsCountedByKind) {
+  // One GE program through both schedules, re-run at the same seed and
+  // then at another.  Worst-case entries are keyed on the seed, so they
+  // hit only on the same-seed re-run; seed-shared standard entries hit on
+  // both.  GE steps carry uniform bytes, so no step is standard-exact.
+  const auto costs = ops::analytic_cost_table();
+  const auto params = loggp::presets::meiko_cs2(8);
+  const auto program = ge::build_ge_program(ge::GeConfig{.n = 96, .block = 16},
+                                            layout::DiagonalMap{8});
+  runtime::SharedStepCache cache;
+  runtime::metrics::Registry metrics;
+  runtime::BatchPredictor batch{
+      {.threads = 1, .sim = {}, .step_cache = &cache, .metrics = &metrics}};
+  const auto run = [&](std::uint64_t seed) {
+    runtime::PredictJob job{&program, params, &costs};
+    job.seed = seed;
+    EXPECT_TRUE(batch.predict_one(job).ok());
+    return cache.stats();
+  };
+  const auto first = run(1);
+  EXPECT_GT(first.std_shared.insertions, 0u);
+  EXPECT_GT(first.worst_case.insertions, 0u);
+  EXPECT_EQ(first.worst_case.hits, 0u);
+  const auto same_seed = run(1);
+  EXPECT_GT(same_seed.worst_case.hits, 0u);
+  EXPECT_GT(same_seed.std_shared.hits, first.std_shared.hits);
+  const auto new_seed = run(2);
+  EXPECT_EQ(new_seed.worst_case.hits, same_seed.worst_case.hits);
+  EXPECT_GT(new_seed.std_shared.hits, same_seed.std_shared.hits);
+  EXPECT_EQ(new_seed.std_exact.hits + new_seed.std_exact.insertions, 0u);
+
+  // The kinds partition the totals, and each is published as a gauge.
+  EXPECT_EQ(new_seed.std_shared.hits + new_seed.worst_case.hits,
+            new_seed.hits);
+  EXPECT_EQ(new_seed.std_shared.insertions + new_seed.worst_case.insertions,
+            new_seed.insertions);
+  std::map<std::string, std::string> gauges;
+  for (const auto& sample : metrics.samples()) {
+    if (sample.kind == "gauge") gauges[sample.name] = sample.value;
+  }
+  EXPECT_EQ(gauges["step_cache.worst_case_hits"],
+            std::to_string(new_seed.worst_case.hits));
+  EXPECT_EQ(gauges["step_cache.std_shared_insertions"],
+            std::to_string(new_seed.std_shared.insertions));
+  EXPECT_EQ(gauges["step_cache.std_exact_hits"], "0");
 }
 
 TEST(SharedStepCache, MixedByteStepsDoNotShareAcrossRelabelings) {

@@ -198,6 +198,17 @@ if "$cli" predict "$smoke_tmp/hot.txt" --topology hypercube:4 \
   echo "==> [topology] bogus spec was accepted" >&2
   exit 1
 fi
+# A block size that does not fit an int must be refused, not narrowed
+# (4294967300 would wrap to 4), both in-process and by the daemon's parser.
+sed 's/^item 0 0 16$/item 0 0 4294967300/' "$smoke_tmp/hot.txt" \
+  > "$smoke_tmp/wide_block.txt"
+for remote in "" "--server 127.0.0.1:$port"; do
+  # shellcheck disable=SC2086 # $remote is empty or two words on purpose
+  if "$cli" predict "$smoke_tmp/wide_block.txt" $remote > /dev/null 2>&1; then
+    echo "==> [topology] block 4294967300 was accepted${remote:+ ($remote)}" >&2
+    exit 1
+  fi
+done
 echo "==> [topology] smoke OK (flat=$flat_us torus=$torus_us" \
   "fattree=$fattree_us us)"
 
