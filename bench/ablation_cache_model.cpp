@@ -5,7 +5,9 @@
 // cache-enabled Testbed measurement.
 
 #include <cmath>
+#include <cstdint>
 #include <iostream>
+#include <span>
 #include <vector>
 
 #include <logsim/logsim.hpp>
@@ -38,10 +40,11 @@ int main() {
     std::vector<machine::CacheModel> caches(
         bench::kProcs, machine::CacheModel{machine::CacheConfig{}});
     core::ProgramSimOptions opts;
-    opts.compute_overhead = [&caches, b](const core::WorkItem& item) {
+    opts.compute_overhead = [&caches, b](const core::WorkItem& item,
+                                         std::span<const std::int64_t> ids) {
       Time stall = Time::zero();
       const Bytes bb{static_cast<std::uint64_t>(b) * b * 8};
-      for (const auto uid : item.touched) {
+      for (const auto uid : ids) {
         stall += caches[static_cast<std::size_t>(item.proc)].access(uid, bb);
       }
       return stall;

@@ -52,11 +52,11 @@ int main() {
   const core::OpId kWork = costs.register_op("work");
   costs.set_cost(kWork, 32, Time{500.0});  // one 32x32-block op: 500 us
 
+  //    Each work item names its processor, op and block size; add() files
+  //    the ids of the blocks it touches (here its own block) in the step.
   core::StepProgram program{4};
   core::ComputeStep compute;
-  for (ProcId p = 0; p < 4; ++p) {
-    compute.items.push_back(core::WorkItem{p, kWork, 32, {p}});
-  }
+  for (ProcId p = 0; p < 4; ++p) compute.add({p, kWork, 32}, {p});
   program.add_compute(compute);
   program.add_comm(step);
 

@@ -31,19 +31,21 @@ ProgramBounds analyze_program(const core::StepProgram& program,
   for (std::size_t s = 0; s < program.size(); ++s) {
     const auto& entry = program.step(s);
     if (const auto* cs = std::get_if<core::ComputeStep>(&entry)) {
-      for (const auto& item : cs->items) {
+      for (std::size_t i = 0; i < cs->items.size(); ++i) {
+        const core::WorkItem& item = cs->items[i];
+        const auto touched = cs->touched(i);
         const Time cost = costs.cost(item.op, item.block_size);
         work[static_cast<std::size_t>(item.proc)] += cost;
 
         Time start_dep = Time::zero();
         Time start_lat = Time::zero();
-        for (std::int64_t uid : item.touched) {
+        for (std::int64_t uid : touched) {
           start_dep = max(start_dep, lookup(avail_dep, uid));
           start_lat = max(start_lat, lookup(avail_lat, uid));
         }
-        if (!item.touched.empty()) {
-          avail_dep[item.touched[0]] = start_dep + cost;
-          avail_lat[item.touched[0]] = start_lat + cost;
+        if (!touched.empty()) {
+          avail_dep[touched[0]] = start_dep + cost;
+          avail_lat[touched[0]] = start_lat + cost;
         }
         bounds.dependency_bound = max(bounds.dependency_bound, start_dep + cost);
         bounds.latency_estimate = max(bounds.latency_estimate, start_lat + cost);

@@ -89,11 +89,10 @@ core::StepProgram build_cannon_program(const CannonConfig& cfg,
         for (int ii = 0; ii < s; ++ii) {
           for (int kk = 0; kk < s; ++kk) {
             for (int jj = 0; jj < s; ++jj) {
-              step.items.push_back(core::WorkItem{
-                  proc, ops::kOp4, cfg.block,
-                  {c_uid(r * s + ii, c * s + jj, nb),
-                   a_uid(r * s + ii, ak + kk, nb),
-                   b_uid(bk + kk, c * s + jj, nb)}});
+              step.add({proc, ops::kOp4, cfg.block},
+                       {c_uid(r * s + ii, c * s + jj, nb),
+                        a_uid(r * s + ii, ak + kk, nb),
+                        b_uid(bk + kk, c * s + jj, nb)});
               ++info.multiply_items;
             }
           }

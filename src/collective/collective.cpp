@@ -100,7 +100,7 @@ ReducePlan reduce_binomial(int procs, Bytes bytes, double combine_us_per_byte) {
     for (int q = 0; q < stride; ++q) {
       if (q + stride < procs) {
         pat.add(q + stride, q, bytes, q + stride);
-        fold.items.push_back(core::WorkItem{q, combine, 1, {q}});
+        fold.add({q, combine, 1}, {q});
       }
     }
     if (!pat.empty()) {

@@ -1,5 +1,6 @@
 #include "core/program_sim.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <string>
 #include <utility>
@@ -65,6 +66,13 @@ Status walk(const StepProgram& program, const CostTable& costs,
       if constexpr (kHash) {
         h.mix_u64(0);  // step-kind tag
         h.mix_u64(cs->items.size());
+      }
+      if constexpr (kCheck) {
+        if (cs->ends.size() != cs->items.size() ||
+            !std::is_sorted(cs->ends.begin(), cs->ends.end()) ||
+            (cs->ends.empty() ? 0 : cs->ends.back()) != cs->ids.size()) {
+          return bad("touched-id ends do not cover the id array", s);
+        }
       }
       for (const auto& item : cs->items) {
         if constexpr (kCheck) {
@@ -241,9 +249,12 @@ Result<ProgramResult> ProgramSimulator::run_checked(const StepProgram& program,
     if (const auto* cs = std::get_if<ComputeStep>(&entry)) {
       obs::Span span{tracer, "sim.comp_step", "core", step};
       if (recorder != nullptr) recorder->begin_step("comp", step, n);
-      for (const auto& item : cs->items) {
+      for (std::size_t i = 0; i < cs->items.size(); ++i) {
+        const WorkItem& item = cs->items[i];
         Time dt = cost_of(item.op, item.block_size);
-        if (opts_.compute_overhead) dt += opts_.compute_overhead(item);
+        if (opts_.compute_overhead) {
+          dt += opts_.compute_overhead(item, cs->touched(i));
+        }
         const auto p = static_cast<std::size_t>(item.proc);
         const Time before = clock[p];
         clock[p] += dt;

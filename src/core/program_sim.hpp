@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/comm_sim.hpp"
@@ -39,9 +40,11 @@ struct ProgramSimOptions {
   /// Base seed; each comm step derives its own stream deterministically.
   std::uint64_t seed = 1;
   /// Optional per-work-item surcharge, invoked once per item in program
-  /// order.  Hook point for the cache-model extension: the callback may
-  /// keep per-processor cache state and return the stall time to add.
-  std::function<Time(const WorkItem&)> compute_overhead;
+  /// order with the blocks it touches.  Hook point for the cache-model
+  /// extension: the callback may keep per-processor cache state and return
+  /// the stall time to add.
+  std::function<Time(const WorkItem&, std::span<const std::int64_t>)>
+      compute_overhead;
   /// Optional comm-step memoization (borrowed; may be shared across
   /// simulators and threads).  Hits replay stored finish times through the
   /// canonical permutation, bit-identical to simulating; see
@@ -107,8 +110,9 @@ class CompiledProgram {
 /// Boundary validation establishing the simulator preconditions that the
 /// hot path only assert()s: valid LogGP parameters, every work item
 /// referencing an in-range processor / calibrated op / positive block
-/// size, and every comm step sized to the program.  Returns the first
-/// violation as an invalid-input Status.
+/// size, every compute step's ends covering its ids, and every comm step
+/// sized to the program.  Returns the first violation as an invalid-input
+/// Status.
 [[nodiscard]] inline Status validate_inputs(const StepProgram& program,
                                             const CostTable& costs,
                                             const loggp::Params& params) {

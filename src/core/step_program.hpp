@@ -3,10 +3,15 @@
 // algorithms whose communication and computation steps alternate and never
 // overlap, working on equal-sized basic blocks via a finite set of basic
 // operations.  A StepProgram is the simulator-facing encoding of one such
-// program: an ordered list of ComputeStep / CommStep entries.
+// program: an ordered list of ComputeStep / CommStep entries.  A compute
+// step stores its work items' touched block ids end to end in one array,
+// so a work item is three ints and a step holds three heap blocks however
+// many items it has.
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -22,21 +27,39 @@ class PatternInterner;
 
 namespace logsim::core {
 
-/// One basic-operation invocation on one processor.
+/// One basic-operation invocation on one processor.  The blocks it touches
+/// live in its ComputeStep (ComputeStep::touched).
 struct WorkItem {
   ProcId proc = kNoProc;
   OpId op = 0;
   int block_size = 1;
-  /// Identifiers of the basic blocks this invocation touches, in access
-  /// order.  Ignored by the plain LogGP predictor; consumed by the cache
-  /// model extension and by the Testbed machine.
-  std::vector<std::int64_t> touched;
 
   friend bool operator==(const WorkItem&, const WorkItem&) = default;
 };
 
 struct ComputeStep {
   std::vector<WorkItem> items;
+  /// ids[ends[i - 1], ends[i]) are the blocks item i touches, in access
+  /// order (from 0 for item 0).  Ignored by the plain LogGP predictor;
+  /// consumed by the cache model extension, the Testbed machine and the
+  /// dependence analyses.  Filled only by add(), so equal steps have equal
+  /// arrays; compile() refuses a step whose ends do not cover ids exactly
+  /// (so also one past 2^32 ids, whose ends wrap).
+  std::vector<std::uint32_t> ends;
+  std::vector<std::int64_t> ids;
+
+  void add(const WorkItem& item, std::span<const std::int64_t> touched) {
+    items.push_back(item);
+    ids.insert(ids.end(), touched.begin(), touched.end());
+    ends.push_back(static_cast<std::uint32_t>(ids.size()));
+  }
+  void add(const WorkItem& item,
+           std::initializer_list<std::int64_t> touched = {}) {
+    add(item, std::span{touched.begin(), touched.size()});
+  }
+  [[nodiscard]] std::span<const std::int64_t> touched(std::size_t i) const {
+    return {ids.data() + (i == 0 ? 0 : ends[i - 1]), ids.data() + ends[i]};
+  }
 
   friend bool operator==(const ComputeStep&, const ComputeStep&) = default;
 };
@@ -110,7 +133,8 @@ class StepProgram {
   void intern_patterns(pattern::PatternInterner& interner);
 
   /// Structural equality: same processor count and step-for-step identical
-  /// contents, touched ids included (O(1) when both share one step list).
+  /// contents, touched ids included (O(1) when both share one step list;
+  /// a compute step compares three flat arrays).
   /// The prediction cache relies on this to tell true hits from 64-bit
   /// hash collisions and from programs its key does not tell apart
   /// (core::program_hash skips touched ids).

@@ -48,12 +48,14 @@ core::ProgramResult OverlapProgramSimulator::run(
       std::fill(full.begin(), full.end(), Time::zero());
       std::fill(running.begin(), running.end(), Time::zero());
       producer_offset.clear();
-      for (const auto& item : cs->items) {
+      for (std::size_t i = 0; i < cs->items.size(); ++i) {
+        const core::WorkItem& item = cs->items[i];
+        const auto touched = cs->touched(i);
         const auto p = static_cast<std::size_t>(item.proc);
         Time dt = costs.cost(item.op, item.block_size);
-        if (opts_.compute_overhead) dt += opts_.compute_overhead(item);
+        if (opts_.compute_overhead) dt += opts_.compute_overhead(item, touched);
         running[p] += dt;
-        if (!item.touched.empty()) producer_offset[item.touched[0]] = running[p];
+        if (!touched.empty()) producer_offset[touched[0]] = running[p];
       }
       full = running;
       for (std::size_t p = 0; p < n; ++p) {

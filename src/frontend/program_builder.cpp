@@ -42,8 +42,7 @@ ProgramBuilder::Proc& ProgramBuilder::Proc::compute(
         " must be positive (processor " + std::to_string(proc_) + ")"));
     return *this;
   }
-  owner_->pending_compute_.items.push_back(
-      core::WorkItem{proc_, op, block_size, std::move(touched)});
+  owner_->pending_compute_.add({proc_, op, block_size}, touched);
   return *this;
 }
 

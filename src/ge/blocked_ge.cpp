@@ -1,52 +1,13 @@
 #include "ge/blocked_ge.hpp"
 
 #include <cassert>
-#include <vector>
 
+#include "ge/multicast.hpp"
 #include "ops/ge_ops.hpp"
 #include "pattern/canonical.hpp"
 #include "pattern/comm_pattern.hpp"
 
 namespace logsim::ge {
-
-namespace {
-
-/// Collects the distinct destination processors of one produced block and
-/// emits one message per destination (including a self-edge when a
-/// consumer lives with the producer: a local copy in a real execution).
-class Multicast {
- public:
-  Multicast(ProcId src, std::int64_t tag, Bytes bytes, int procs)
-      : src_(src), tag_(tag), bytes_(bytes),
-        seen_(static_cast<std::size_t>(procs), false) {}
-
-  void add_consumer(ProcId dst) {
-    if (!seen_[static_cast<std::size_t>(dst)]) {
-      seen_[static_cast<std::size_t>(dst)] = true;
-      dsts_.push_back(dst);
-    }
-  }
-
-  void emit(pattern::CommPattern& out, GeScheduleInfo& info) const {
-    for (ProcId dst : dsts_) {
-      out.add(src_, dst, bytes_, tag_);
-      if (dst == src_) {
-        ++info.self_messages;
-      } else {
-        ++info.network_messages;
-      }
-    }
-  }
-
- private:
-  ProcId src_;
-  std::int64_t tag_;
-  Bytes bytes_;
-  std::vector<bool> seen_;
-  std::vector<ProcId> dsts_;
-};
-
-}  // namespace
 
 core::StepProgram build_ge_program(const GeConfig& cfg,
                                    const layout::Layout& map) {
@@ -65,13 +26,13 @@ core::StepProgram build_ge_program(const GeConfig& cfg,
 
   core::StepProgram program{procs};
   auto owner = [&](int i, int j) { return map.owner(i, j, nb); };
+  Multicast mc{procs};
 
   for (int k = 0; k < nb; ++k) {
     // --- level 3k+1: factor the diagonal block -------------------------
     {
       core::ComputeStep step;
-      step.items.push_back(core::WorkItem{owner(k, k), ops::kOp1, cfg.block,
-                                          {block_uid(k, k, nb)}});
+      step.add({owner(k, k), ops::kOp1, cfg.block}, {block_uid(k, k, nb)});
       ++info.op_counts[ops::kOp1];
       program.add_compute(std::move(step));
       ++info.levels;
@@ -81,10 +42,9 @@ core::StepProgram build_ge_program(const GeConfig& cfg,
     // Communicate the factored diagonal block to every panel owner.
     {
       pattern::CommPattern pat{procs};
-      Multicast mc{owner(k, k), block_uid(k, k, nb), bb, procs};
       for (int j = k + 1; j < nb; ++j) mc.add_consumer(owner(k, j));
       for (int i = k + 1; i < nb; ++i) mc.add_consumer(owner(i, k));
-      mc.emit(pat, info);
+      mc.emit(owner(k, k), block_uid(k, k, nb), bb, pat, info);
       program.add_comm(std::move(pat));
     }
 
@@ -92,15 +52,13 @@ core::StepProgram build_ge_program(const GeConfig& cfg,
     {
       core::ComputeStep step;
       for (int j = k + 1; j < nb; ++j) {
-        step.items.push_back(core::WorkItem{
-            owner(k, j), ops::kOp2, cfg.block,
-            {block_uid(k, j, nb), block_uid(k, k, nb)}});
+        step.add({owner(k, j), ops::kOp2, cfg.block},
+                 {block_uid(k, j, nb), block_uid(k, k, nb)});
         ++info.op_counts[ops::kOp2];
       }
       for (int i = k + 1; i < nb; ++i) {
-        step.items.push_back(core::WorkItem{
-            owner(i, k), ops::kOp3, cfg.block,
-            {block_uid(i, k, nb), block_uid(k, k, nb)}});
+        step.add({owner(i, k), ops::kOp3, cfg.block},
+                 {block_uid(i, k, nb), block_uid(k, k, nb)});
         ++info.op_counts[ops::kOp3];
       }
       program.add_compute(std::move(step));
@@ -113,14 +71,12 @@ core::StepProgram build_ge_program(const GeConfig& cfg,
     {
       pattern::CommPattern pat{procs};
       for (int j = k + 1; j < nb; ++j) {
-        Multicast mc{owner(k, j), block_uid(k, j, nb), bb, procs};
         for (int i = k + 1; i < nb; ++i) mc.add_consumer(owner(i, j));
-        mc.emit(pat, info);
+        mc.emit(owner(k, j), block_uid(k, j, nb), bb, pat, info);
       }
       for (int i = k + 1; i < nb; ++i) {
-        Multicast mc{owner(i, k), block_uid(i, k, nb), bb, procs};
         for (int j = k + 1; j < nb; ++j) mc.add_consumer(owner(i, j));
-        mc.emit(pat, info);
+        mc.emit(owner(i, k), block_uid(i, k, nb), bb, pat, info);
       }
       program.add_comm(std::move(pat));
     }
@@ -130,9 +86,9 @@ core::StepProgram build_ge_program(const GeConfig& cfg,
       core::ComputeStep step;
       for (int i = k + 1; i < nb; ++i) {
         for (int j = k + 1; j < nb; ++j) {
-          step.items.push_back(core::WorkItem{
-              owner(i, j), ops::kOp4, cfg.block,
-              {block_uid(i, j, nb), block_uid(i, k, nb), block_uid(k, j, nb)}});
+          step.add({owner(i, j), ops::kOp4, cfg.block},
+                   {block_uid(i, j, nb), block_uid(i, k, nb),
+                    block_uid(k, j, nb)});
           ++info.op_counts[ops::kOp4];
         }
       }

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "ge/multicast.hpp"
 #include "ge/reference.hpp"
 #include "ops/ge_ops.hpp"
 #include "ops/kernels.hpp"
@@ -18,40 +19,6 @@ Bytes block_bytes(const IrregularGeConfig& cfg, int i, int j) {
                static_cast<std::uint64_t>(cfg.extent(j)) *
                static_cast<std::uint64_t>(cfg.elem_bytes)};
 }
-
-/// One multicast of block (bi,bj) to the distinct owners of a consumer
-/// set, mirroring blocked_ge.cpp's Multicast but with rectangular bytes.
-class Multicast {
- public:
-  Multicast(ProcId src, std::int64_t tag, Bytes bytes, int procs)
-      : src_(src), tag_(tag), bytes_(bytes),
-        seen_(static_cast<std::size_t>(procs), false) {}
-
-  void add_consumer(ProcId dst) {
-    if (!seen_[static_cast<std::size_t>(dst)]) {
-      seen_[static_cast<std::size_t>(dst)] = true;
-      dsts_.push_back(dst);
-    }
-  }
-
-  void emit(pattern::CommPattern& out, GeScheduleInfo& info) const {
-    for (ProcId dst : dsts_) {
-      out.add(src_, dst, bytes_, tag_);
-      if (dst == src_) {
-        ++info.self_messages;
-      } else {
-        ++info.network_messages;
-      }
-    }
-  }
-
- private:
-  ProcId src_;
-  std::int64_t tag_;
-  Bytes bytes_;
-  std::vector<bool> seen_;
-  std::vector<ProcId> dsts_;
-};
 
 }  // namespace
 
@@ -76,14 +43,14 @@ core::StepProgram build_ge_program_irregular(const IrregularGeConfig& cfg,
 
   core::StepProgram program{procs};
   auto owner = [&](int i, int j) { return map.owner(i, j, nb); };
+  Multicast mc{procs};
 
   for (int k = 0; k < nb; ++k) {
     const int ek = cfg.extent(k);
     {
       core::ComputeStep step;
-      step.items.push_back(core::WorkItem{owner(k, k), ops::kOp1,
-                                          effective_size(ek, ek, ek),
-                                          {block_uid(k, k, nb)}});
+      step.add({owner(k, k), ops::kOp1, effective_size(ek, ek, ek)},
+               {block_uid(k, k, nb)});
       ++info.op_counts[ops::kOp1];
       program.add_compute(std::move(step));
       ++info.levels;
@@ -92,26 +59,25 @@ core::StepProgram build_ge_program_irregular(const IrregularGeConfig& cfg,
 
     {
       pattern::CommPattern pat{procs};
-      Multicast mc{owner(k, k), block_uid(k, k, nb), block_bytes(cfg, k, k),
-                   procs};
       for (int j = k + 1; j < nb; ++j) mc.add_consumer(owner(k, j));
       for (int i = k + 1; i < nb; ++i) mc.add_consumer(owner(i, k));
-      mc.emit(pat, info);
+      mc.emit(owner(k, k), block_uid(k, k, nb), block_bytes(cfg, k, k), pat,
+              info);
       program.add_comm(std::move(pat));
     }
 
     {
       core::ComputeStep step;
       for (int j = k + 1; j < nb; ++j) {
-        step.items.push_back(core::WorkItem{
-            owner(k, j), ops::kOp2, effective_size(ek, ek, cfg.extent(j)),
-            {block_uid(k, j, nb), block_uid(k, k, nb)}});
+        step.add({owner(k, j), ops::kOp2,
+                  effective_size(ek, ek, cfg.extent(j))},
+                 {block_uid(k, j, nb), block_uid(k, k, nb)});
         ++info.op_counts[ops::kOp2];
       }
       for (int i = k + 1; i < nb; ++i) {
-        step.items.push_back(core::WorkItem{
-            owner(i, k), ops::kOp3, effective_size(cfg.extent(i), ek, ek),
-            {block_uid(i, k, nb), block_uid(k, k, nb)}});
+        step.add({owner(i, k), ops::kOp3,
+                  effective_size(cfg.extent(i), ek, ek)},
+                 {block_uid(i, k, nb), block_uid(k, k, nb)});
         ++info.op_counts[ops::kOp3];
       }
       program.add_compute(std::move(step));
@@ -121,16 +87,14 @@ core::StepProgram build_ge_program_irregular(const IrregularGeConfig& cfg,
     {
       pattern::CommPattern pat{procs};
       for (int j = k + 1; j < nb; ++j) {
-        Multicast mc{owner(k, j), block_uid(k, j, nb), block_bytes(cfg, k, j),
-                     procs};
         for (int i = k + 1; i < nb; ++i) mc.add_consumer(owner(i, j));
-        mc.emit(pat, info);
+        mc.emit(owner(k, j), block_uid(k, j, nb), block_bytes(cfg, k, j), pat,
+                info);
       }
       for (int i = k + 1; i < nb; ++i) {
-        Multicast mc{owner(i, k), block_uid(i, k, nb), block_bytes(cfg, i, k),
-                     procs};
         for (int j = k + 1; j < nb; ++j) mc.add_consumer(owner(i, j));
-        mc.emit(pat, info);
+        mc.emit(owner(i, k), block_uid(i, k, nb), block_bytes(cfg, i, k), pat,
+                info);
       }
       program.add_comm(std::move(pat));
     }
@@ -139,10 +103,10 @@ core::StepProgram build_ge_program_irregular(const IrregularGeConfig& cfg,
       core::ComputeStep step;
       for (int i = k + 1; i < nb; ++i) {
         for (int j = k + 1; j < nb; ++j) {
-          step.items.push_back(core::WorkItem{
-              owner(i, j), ops::kOp4,
-              effective_size(cfg.extent(i), ek, cfg.extent(j)),
-              {block_uid(i, j, nb), block_uid(i, k, nb), block_uid(k, j, nb)}});
+          step.add({owner(i, j), ops::kOp4,
+                    effective_size(cfg.extent(i), ek, cfg.extent(j))},
+                   {block_uid(i, j, nb), block_uid(i, k, nb),
+                    block_uid(k, j, nb)});
           ++info.op_counts[ops::kOp4];
         }
       }

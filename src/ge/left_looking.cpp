@@ -49,24 +49,21 @@ core::StepProgram build_ge_left_looking(const GeConfig& cfg, int procs,
 
     core::ComputeStep step;
     for (int j = 0; j < k; ++j) {
-      step.items.push_back(core::WorkItem{
-          me, ops::kOp2, cfg.block,
-          {block_uid(j, k, nb), block_uid(j, j, nb)}});
+      step.add({me, ops::kOp2, cfg.block},
+               {block_uid(j, k, nb), block_uid(j, j, nb)});
       ++info.op_counts[ops::kOp2];
       for (int i = j + 1; i < nb; ++i) {
-        step.items.push_back(core::WorkItem{
-            me, ops::kOp4, cfg.block,
-            {block_uid(i, k, nb), block_uid(i, j, nb), block_uid(j, k, nb)}});
+        step.add({me, ops::kOp4, cfg.block},
+                 {block_uid(i, k, nb), block_uid(i, j, nb),
+                  block_uid(j, k, nb)});
         ++info.op_counts[ops::kOp4];
       }
     }
-    step.items.push_back(core::WorkItem{me, ops::kOp1, cfg.block,
-                                        {block_uid(k, k, nb)}});
+    step.add({me, ops::kOp1, cfg.block}, {block_uid(k, k, nb)});
     ++info.op_counts[ops::kOp1];
     for (int i = k + 1; i < nb; ++i) {
-      step.items.push_back(core::WorkItem{
-          me, ops::kOp3, cfg.block,
-          {block_uid(i, k, nb), block_uid(k, k, nb)}});
+      step.add({me, ops::kOp3, cfg.block},
+               {block_uid(i, k, nb), block_uid(k, k, nb)});
       ++info.op_counts[ops::kOp3];
     }
     program.add_compute(std::move(step));

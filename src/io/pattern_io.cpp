@@ -1,38 +1,20 @@
 #include "io/pattern_io.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <new>
 #include <optional>
 #include <sstream>
+#include <vector>
 
 #include "fault/failpoint.hpp"
+#include "io/line_scan.hpp"
 
 namespace logsim::io {
 
-namespace {
-
-Status fail(int line, std::string message) {
-  return Status::invalid_input(std::move(message)).at_line(line);
-}
-
-/// After the positional fields of a line, only whitespace or an inline
-/// '#' comment may remain.
-bool has_trailing_junk(std::istringstream& ls) {
-  ls.clear();
-  std::string rest;
-  ls >> rest;
-  return !rest.empty() && rest[0] != '#';
-}
-
-/// Shared oversize guard (mirrors program_io): reject before allocating.
-Status check_payload_size(std::size_t size, std::size_t max_bytes) {
-  if (size <= max_bytes) return Status{};
-  return Status::invalid_input("payload of " + std::to_string(size) +
-                               " bytes exceeds the max-message size of " +
-                               std::to_string(max_bytes) + " bytes");
-}
-
-}  // namespace
+using detail::check_payload_size;
+using detail::fail;
+using detail::read_rest;
 
 Result<pattern::CommPattern> parse_pattern(const std::string& text,
                                            const PatternParseOptions& options) {
@@ -43,6 +25,7 @@ Result<pattern::CommPattern> parse_pattern(const std::string& text,
   std::string line;
   int line_no = 0;
   std::optional<pattern::CommPattern> pat;
+  std::vector<std::int64_t> rest;  // a line's trailing fields, reused
 
   while (std::getline(in, line)) {
     ++line_no;
@@ -63,7 +46,8 @@ Result<pattern::CommPattern> parse_pattern(const std::string& text,
                                  " exceeds the limit of " +
                                  std::to_string(options.max_procs));
       }
-      if (has_trailing_junk(ls)) {
+      rest.clear();
+      if (!read_rest(ls, line, rest) || !rest.empty()) {
         return fail(line_no, "trailing junk after 'procs' declaration");
       }
       pat.emplace(procs);
@@ -71,14 +55,14 @@ Result<pattern::CommPattern> parse_pattern(const std::string& text,
       if (!pat.has_value()) {
         return fail(line_no, "'msg' before 'procs' declaration");
       }
-      long long src = -1, dst = -1, bytes = -1, tag = 0;
-      if (!(ls >> src >> dst >> bytes)) {
+      long long src = -1, dst = -1, bytes = -1;
+      rest.clear();
+      // The optional tag must fit an int64; anything else after it is junk.
+      if (!(ls >> src >> dst >> bytes) || !read_rest(ls, line, rest) ||
+          rest.size() > 1) {
         return fail(line_no, "'msg' needs: src dst bytes [tag]");
       }
-      ls >> tag;  // optional
-      if (has_trailing_junk(ls)) {
-        return fail(line_no, "trailing junk after 'msg' fields");
-      }
+      const std::int64_t tag = rest.empty() ? 0 : rest.front();
       if (src < 0 || src >= pat->procs() || dst < 0 || dst >= pat->procs()) {
         return fail(line_no,
                     "message endpoint out of range: " + std::to_string(src) +

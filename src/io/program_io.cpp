@@ -1,7 +1,5 @@
 #include "io/program_io.hpp"
 
-#include <cctype>
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -13,51 +11,14 @@
 #include <vector>
 
 #include "fault/failpoint.hpp"
+#include "io/line_scan.hpp"
 #include "pattern/comm_pattern.hpp"
 
 namespace logsim::io {
 
-namespace {
-
-Status fail(int line, std::string message) {
-  return Status::invalid_input(std::move(message)).at_line(line);
-}
-
-/// Appends the integers left on `line` past the stream's position to
-/// `out`, up to an optional '#' comment, and consumes the line.  False on
-/// any other token or a value that does not fit: nothing is narrowed or
-/// dropped.
-bool read_rest(std::istringstream& ls, const std::string& line,
-               std::vector<std::int64_t>& out) {
-  const std::streamoff at = ls.tellg();  // -1 once the line is used up
-  ls.setstate(std::ios::eofbit);
-  const char* p =
-      line.data() + (at < 0 ? line.size() : static_cast<std::size_t>(at));
-  const char* const end = line.data() + line.size();
-  const auto space = [&](const char* c) {
-    return c == end || std::isspace(static_cast<unsigned char>(*c)) != 0;
-  };
-  for (;;) {
-    while (p != end && space(p)) ++p;
-    if (p == end || *p == '#') return true;
-    std::int64_t value = 0;
-    const auto [next, ec] = std::from_chars(p, end, value);
-    if (ec != std::errc{} || !space(next)) return false;
-    out.push_back(value);
-    p = next;
-  }
-}
-
-/// Shared oversize guard: parsers reject the whole payload before touching
-/// it, loaders reject the file before reading it into memory.
-Status check_payload_size(std::size_t size, std::size_t max_bytes) {
-  if (size <= max_bytes) return Status{};
-  return Status::invalid_input("payload of " + std::to_string(size) +
-                               " bytes exceeds the max-message size of " +
-                               std::to_string(max_bytes) + " bytes");
-}
-
-}  // namespace
+using detail::check_payload_size;
+using detail::fail;
+using detail::read_rest;
 
 Result<ProgramBundle> parse_program(const std::string& text,
                                     const ProgramParseOptions& options) {
@@ -138,15 +99,14 @@ Result<ProgramBundle> parse_program(const std::string& text,
           block > std::numeric_limits<int>::max()) {
         return fail(line_no, "'item' needs: proc op block [touched...]");
       }
-      core::WorkItem item;
-      item.proc = static_cast<ProcId>(proc);
-      item.op = static_cast<core::OpId>(op);
-      item.block_size = static_cast<int>(block);
-      if (!read_rest(ls, line, item.touched)) {
+      rest.clear();
+      if (!read_rest(ls, line, rest)) {
         return fail(line_no, "'item' needs: proc op block [touched...]");
       }
-      op_first_use.emplace(item.op, line_no);
-      open_compute->items.push_back(std::move(item));
+      op_first_use.emplace(static_cast<core::OpId>(op), line_no);
+      open_compute->add({static_cast<ProcId>(proc), static_cast<core::OpId>(op),
+                         static_cast<int>(block)},
+                        rest);
     } else if (keyword == "msg") {
       if (!open_comm.has_value()) {
         return fail(line_no, "'msg' outside a comm section");
@@ -232,10 +192,11 @@ std::string to_text(const core::StepProgram& program,
   for (std::size_t s = 0; s < program.size(); ++s) {
     if (const auto* cs = std::get_if<core::ComputeStep>(&program.step(s))) {
       os << "compute\n";
-      for (const auto& item : cs->items) {
+      for (std::size_t i = 0; i < cs->items.size(); ++i) {
+        const core::WorkItem& item = cs->items[i];
         os << "item " << item.proc << ' ' << item.op << ' '
            << item.block_size;
-        for (auto uid : item.touched) os << ' ' << uid;
+        for (auto uid : cs->touched(i)) os << ' ' << uid;
         os << '\n';
       }
     } else {

@@ -59,7 +59,8 @@ TestbedResult Testbed::run(const core::StepProgram& program,
   for (std::size_t step = 0; step < program.size(); ++step) {
     const auto& entry = program.step(step);
     if (const auto* cs = std::get_if<core::ComputeStep>(&entry)) {
-      for (const auto& item : cs->items) {
+      for (std::size_t i = 0; i < cs->items.size(); ++i) {
+        const core::WorkItem& item = cs->items[i];
         const auto p = static_cast<std::size_t>(item.proc);
         const Time base = costs.cost(item.op, item.block_size) +
                           cfg_.iter_overhead;
@@ -67,7 +68,7 @@ TestbedResult Testbed::run(const core::StepProgram& program,
         if (cfg_.cache_enabled) {
           const Bytes bb{static_cast<std::uint64_t>(item.block_size) *
                          static_cast<std::uint64_t>(item.block_size) * 8};
-          for (std::int64_t uid : item.touched) {
+          for (std::int64_t uid : cs->touched(i)) {
             stall += caches[p].access(uid, bb);
           }
         }

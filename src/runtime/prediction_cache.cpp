@@ -33,10 +33,9 @@ std::size_t prediction_entry_bytes(const core::StepProgram& program,
     const auto& step = program.step(i);
     bytes += sizeof(step);
     if (const auto* comp = std::get_if<core::ComputeStep>(&step)) {
-      bytes += comp->items.size() * sizeof(core::WorkItem);
-      for (const auto& item : comp->items) {
-        bytes += item.touched.size() * sizeof(std::int64_t);
-      }
+      bytes += comp->items.size() * sizeof(core::WorkItem) +
+               comp->ends.size() * sizeof(std::uint32_t) +
+               comp->ids.size() * sizeof(std::int64_t);
     } else {
       bytes += std::get<core::CommStep>(step).pattern.size() *
                sizeof(pattern::Message);

@@ -16,10 +16,10 @@
 // copies are O(1)), so an insert copies nothing program-sized.
 //
 // Eviction is by approximate byte footprint: each entry is charged for its
-// whole program (steps, work items, touched-block ids, messages), since it
-// may end up as the step list's last owner, and its Prediction vectors;
-// when the configured byte budget is exceeded the least-recently-used
-// entries are dropped, oldest first.
+// whole program (steps, each compute step's item, end and id arrays,
+// messages; counted in O(steps)), since it may end up as the step list's
+// last owner, and its Prediction vectors; when the configured byte budget
+// is exceeded the least-recently-used entries are dropped, oldest first.
 
 #include <cstddef>
 #include <cstdint>
@@ -56,8 +56,8 @@ class PredictionCache {
     /// Total byte budget across shards; each shard gets an equal slice.
     /// Entries larger than a slice are not retained (counted in
     /// Stats::oversized).  The default (16 MiB per shard at 16 shards)
-    /// holds every program of the paper's Fig-7 sweep (N = 960) but the
-    /// b = 10 one, which is charged 19.5 MiB.
+    /// holds every program of the paper's Fig-7 sweep (N = 960), the
+    /// b = 10 one included: it is charged 12.7 MiB.
     std::size_t byte_budget = 256ull << 20;
   };
 

@@ -97,20 +97,21 @@ core::StepProgram build_stencil_program(const StencilConfig& cfg,
 
   // Build one iteration's halo pattern and compute step, then repeat.
   pattern::CommPattern halo = halo_pattern(cfg);
-  std::vector<core::WorkItem> items;
+  core::ComputeStep update;
+  std::vector<std::int64_t> touched;  // one item's blocks, reused
 
   if (cfg.partition == Partition::kStrips1D) {
     info.tile_rows = cfg.n / cfg.procs;
     info.tile_cols = cfg.n;
     for (int p = 0; p < cfg.procs; ++p) {
-      std::vector<std::int64_t> touched{p};
+      touched = {p};
       if (p > 0) touched.push_back(p - 1);
       if (p + 1 < cfg.procs) touched.push_back(p + 1);
-      items.push_back(core::WorkItem{
-          p, kStencilOp,
-          tile_edge_for_cells(static_cast<std::int64_t>(info.tile_rows) *
-                              info.tile_cols),
-          std::move(touched)});
+      update.add(
+          {p, kStencilOp,
+           tile_edge_for_cells(static_cast<std::int64_t>(info.tile_rows) *
+                               info.tile_cols)},
+          touched);
     }
   } else {
     const int q = isqrt(cfg.procs);
@@ -120,16 +121,16 @@ core::StepProgram build_stencil_program(const StencilConfig& cfg,
     for (int r = 0; r < q; ++r) {
       for (int c = 0; c < q; ++c) {
         const ProcId me = id(r, c);
-        std::vector<std::int64_t> touched{me};
+        touched = {me};
         if (r + 1 < q) touched.push_back(id(r + 1, c));
         if (r > 0) touched.push_back(id(r - 1, c));
         if (c + 1 < q) touched.push_back(id(r, c + 1));
         if (c > 0) touched.push_back(id(r, c - 1));
-        items.push_back(core::WorkItem{
-            me, kStencilOp,
-            tile_edge_for_cells(static_cast<std::int64_t>(info.tile_rows) *
-                                info.tile_cols),
-            std::move(touched)});
+        update.add({me, kStencilOp,
+                    tile_edge_for_cells(
+                        static_cast<std::int64_t>(info.tile_rows) *
+                        info.tile_cols)},
+                   touched);
       }
     }
   }
@@ -139,9 +140,7 @@ core::StepProgram build_stencil_program(const StencilConfig& cfg,
 
   for (int it = 0; it < cfg.iterations; ++it) {
     if (!halo.empty()) program.add_comm(core::CommStep{halo});
-    core::ComputeStep step;
-    step.items = items;
-    program.add_compute(std::move(step));
+    program.add_compute(update);
   }
   program.intern_patterns(pattern::PatternInterner::global());
   return program;

@@ -41,7 +41,7 @@ core::StepProgram build_trisolve_program(const TriSolveConfig& cfg,
   for (int j = 0; j < nb; ++j) {
     {
       core::ComputeStep step;
-      step.items.push_back(core::WorkItem{owner(j), kSolve, cfg.block, {j}});
+      step.add({owner(j), kSolve, cfg.block}, {j});
       ++info.solves;
       program.add_compute(std::move(step));
     }
@@ -64,8 +64,7 @@ core::StepProgram build_trisolve_program(const TriSolveConfig& cfg,
     {
       core::ComputeStep step;
       for (int i = j + 1; i < nb; ++i) {
-        step.items.push_back(core::WorkItem{owner(i), kUpdate, cfg.block,
-                                            {i, j}});
+        step.add({owner(i), kUpdate, cfg.block}, {i, j});
         ++info.updates;
       }
       program.add_compute(std::move(step));

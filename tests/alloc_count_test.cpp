@@ -14,7 +14,10 @@
 //   - a PredictionCache insert shares the program instead of copying it,
 //     so its allocation count does not grow with the program;
 //   - REGISTER of a wide program allocates one procs-sized scratch, not
-//     one per comm step.
+//     one per comm step;
+//   - building a GE program allocates by steps, not by work items (a
+//     compute step keeps its items' touched ids in one array), and a
+//     compute step copies as its three arrays.
 //
 // Seed baselines, measured before the scratch rewrite on the same
 // workload (P=32 random pattern, 2000 messages => 4000 ops):
@@ -330,6 +333,35 @@ TEST(AllocCount, RepeatedScratchRunsStayFlatAcrossPatterns) {
     }
   });
   EXPECT_EQ(n, 0u) << "alternating pattern sizes must not reallocate";
+}
+
+TEST(AllocCount, GeBuildAllocatesPerStepNotPerItem) {
+  // The b = 10 diagonal Fig-7 program: 299,536 work items in 476 steps.
+  // Each compute step grows three arrays and each comm step its pattern,
+  // so the count is bounded per step (a vector's doublings included),
+  // where one id vector per item would cost 299,536 blocks on its own.
+  const layout::DiagonalMap map{8};
+  const ge::GeConfig cfg{.n = 960, .block = 10};
+  (void)ge::build_ge_program(cfg, map);  // interns the comm patterns
+  std::size_t items = 0;
+  std::size_t steps = 0;
+  const std::size_t n = count_allocs([&] {
+    const auto program = ge::build_ge_program(cfg, map);
+    items = program.work_item_count();
+    steps = program.size();
+  });
+  EXPECT_EQ(items, 299536u);
+  EXPECT_EQ(steps, 476u);
+  EXPECT_LT(n, 32 * steps) << n << " allocations for " << items << " items";
+}
+
+TEST(AllocCount, ComputeStepCopiesOnlyItsArrays) {
+  core::ComputeStep step;
+  for (int i = 0; i < 1000; ++i) step.add({i % 4, 0, 16}, {i, i + 1, i + 2});
+  core::ComputeStep copy;
+  const std::size_t n = count_allocs([&] { copy = step; });
+  EXPECT_EQ(n, 3u) << "items, ends and ids";
+  EXPECT_EQ(copy, step);
 }
 
 }  // namespace

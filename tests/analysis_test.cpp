@@ -100,9 +100,9 @@ TEST(ProgramBounds, PureComputeWorkBound) {
   costs.set_cost(op, 1, Time{10.0});
   core::StepProgram prog{2};
   core::ComputeStep cs;
-  cs.items.push_back(core::WorkItem{0, op, 1, {1}});
-  cs.items.push_back(core::WorkItem{0, op, 1, {2}});
-  cs.items.push_back(core::WorkItem{1, op, 1, {3}});
+  cs.add({0, op, 1}, {1});
+  cs.add({0, op, 1}, {2});
+  cs.add({1, op, 1}, {3});
   prog.add_compute(cs);
   const auto bounds = analyze_program(prog, costs, kMeiko);
   EXPECT_DOUBLE_EQ(bounds.work_bound.us(), 20.0);
@@ -119,7 +119,7 @@ TEST(ProgramBounds, ChainedWritesFormDependencyChain) {
   // the work bound is 10 but the chain is 40.
   for (ProcId p = 0; p < 4; ++p) {
     core::ComputeStep cs;
-    cs.items.push_back(core::WorkItem{p, op, 1, {p + 1, p}});
+    cs.add({p, op, 1}, {p + 1, p});
     prog.add_compute(cs);
   }
   const auto bounds = analyze_program(prog, costs, kMeiko);
@@ -134,13 +134,13 @@ TEST(ProgramBounds, LatencyEstimateChargesTransfers) {
   costs.set_cost(op, 1, Time{10.0});
   core::StepProgram prog{2};
   core::ComputeStep produce;
-  produce.items.push_back(core::WorkItem{0, op, 1, {7}});
+  produce.add({0, op, 1}, {7});
   prog.add_compute(produce);
   pattern::CommPattern pat{2};
   pat.add(0, 1, Bytes{1}, /*tag=*/7);
   prog.add_comm(pat);
   core::ComputeStep consume;
-  consume.items.push_back(core::WorkItem{1, op, 1, {8, 7}});
+  consume.add({1, op, 1}, {8, 7});
   prog.add_compute(consume);
 
   const auto bounds = analyze_program(prog, costs, kMeiko);
@@ -202,7 +202,7 @@ TEST(Export, ResultCsvHasOneRowPerProc) {
   costs.set_cost(op, 1, Time{5.0});
   core::StepProgram prog{3};
   core::ComputeStep cs;
-  cs.items.push_back(core::WorkItem{1, op, 1, {}});
+  cs.add({1, op, 1});
   prog.add_compute(cs);
   const auto result =
       core::ProgramSimulator{loggp::presets::meiko_cs2(3)}.run(prog, costs);

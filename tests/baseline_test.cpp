@@ -139,8 +139,8 @@ TEST(Bsp, SuperstepAccounting) {
   costs.set_cost(op, 1, Time{100.0});
 
   core::ComputeStep cs;
-  cs.items.push_back(core::WorkItem{0, op, 1, {}});
-  cs.items.push_back(core::WorkItem{1, op, 1, {}});
+  cs.add({0, op, 1});
+  cs.add({1, op, 1});
   prog.add_compute(cs);
   pattern::CommPattern pat{2};
   pat.add(0, 1, Bytes{1000});
@@ -186,7 +186,7 @@ TEST(Bsp, ConsecutiveComputeStepsCloseSupersteps) {
   costs.set_cost(op, 1, Time{10.0});
   for (int i = 0; i < 3; ++i) {
     core::ComputeStep cs;
-    cs.items.push_back(core::WorkItem{0, op, 1, {}});
+    cs.add({0, op, 1});
     prog.add_compute(cs);
   }
   const BspPrediction pred =

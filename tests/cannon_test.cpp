@@ -56,7 +56,9 @@ TEST(CannonProgram, EveryOutputBlockMultipliedGridTimes) {
   std::map<std::int64_t, int> updates;
   for (std::size_t s = 0; s < program.size(); ++s) {
     if (const auto* cs = std::get_if<core::ComputeStep>(&program.step(s))) {
-      for (const auto& item : cs->items) ++updates[item.touched.at(0)];
+      for (std::size_t i = 0; i < cs->items.size(); ++i) {
+        ++updates[cs->touched(i)[0]];
+      }
     }
   }
   EXPECT_EQ(updates.size(), static_cast<std::size_t>(nb) * nb);

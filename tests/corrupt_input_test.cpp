@@ -50,6 +50,8 @@ TEST(CorruptInput, PatternCorpusYieldsStatusErrors) {
       {"msg src negative", "procs 4\nmsg -1 1 8\n"},
       {"msg dst out of range", "procs 4\nmsg 0 4 8\n"},
       {"msg trailing junk", "procs 4\nmsg 0 1 8 7 junk\n"},
+      {"msg tag out of range", "procs 4\nmsg 0 1 8 99999999999999999999\n"},
+      {"msg two tags", "procs 4\nmsg 0 1 8 7 9\n"},
       {"unknown keyword", "procs 4\nfrob 1\n"},
   };
   for (const auto& c : corpus) {
@@ -66,6 +68,12 @@ TEST(CorruptInput, PatternErrorsCarryLineNumbers) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().line(), 3);
   EXPECT_NE(r.status().to_string().find(":3"), std::string::npos);
+  // A tag past int64 is refused on its line, not clamped.
+  const auto wide = io::parse_pattern(
+      "procs 4\nmsg 0 1 8 -7  # a tag\nmsg 0 1 8 99999999999999999999\n");
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.status().code(), ErrorCode::kInvalidInput);
+  EXPECT_EQ(wide.status().line(), 3);
 }
 
 TEST(CorruptInput, PatternStrictModeRejectsSelfMessages) {
@@ -185,7 +193,9 @@ TEST(CorruptInput, ProgramGoodInputStillParses) {
   EXPECT_EQ(r->program.procs(), 2);
   EXPECT_EQ(r->costs.op_count(), 1);
   const auto& commented = std::get<core::ComputeStep>(r->program.step(2));
-  EXPECT_EQ(commented.items.at(0).touched,
+  ASSERT_EQ(commented.items.size(), 1u);
+  const auto touched = commented.touched(0);
+  EXPECT_EQ(std::vector<std::int64_t>(touched.begin(), touched.end()),
             (std::vector<std::int64_t>{7, 9}));
 }
 

@@ -51,8 +51,8 @@ TEST(GeProgram, EveryBlockFactoredOrUpdatedCorrectNumberOfTimes) {
   std::map<std::int64_t, int> writes;
   for (std::size_t s = 0; s < program.size(); ++s) {
     if (const auto* cs = std::get_if<core::ComputeStep>(&program.step(s))) {
-      for (const auto& item : cs->items) {
-        ++writes[item.touched.at(0)];  // target block is touched[0]
+      for (std::size_t i = 0; i < cs->items.size(); ++i) {
+        ++writes[cs->touched(i)[0]];  // target block is touched[0]
       }
     }
   }
@@ -70,8 +70,10 @@ TEST(GeProgram, WorkItemsRunOnTheOwner) {
   const auto program = build_ge_program(cfg(nb * 8, 8), map);
   for (std::size_t s = 0; s < program.size(); ++s) {
     if (const auto* cs = std::get_if<core::ComputeStep>(&program.step(s))) {
-      for (const auto& item : cs->items) {
-        const auto uid = item.touched.at(0);
+      for (std::size_t n = 0; n < cs->items.size(); ++n) {
+        const auto& item = cs->items[n];
+        ASSERT_FALSE(cs->touched(n).empty());
+        const auto uid = cs->touched(n)[0];
         const int i = static_cast<int>(uid / nb);
         const int j = static_cast<int>(uid % nb);
         EXPECT_EQ(item.proc, map.owner(i, j, nb));

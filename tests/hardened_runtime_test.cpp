@@ -11,6 +11,7 @@
 #include <chrono>
 #include <memory>
 #include <new>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -42,8 +43,8 @@ struct ScopedFailpoints {
 core::StepProgram tiny_program(int block) {
   core::StepProgram program{2};
   core::ComputeStep cs;
-  cs.items.push_back(core::WorkItem{0, 0, block, {}});
-  cs.items.push_back(core::WorkItem{1, 0, block, {}});
+  cs.add({0, 0, block});
+  cs.add({1, 0, block});
   program.add_compute(std::move(cs));
   pattern::CommPattern pat{2};
   pat.add(0, 1, Bytes{64});
@@ -165,7 +166,8 @@ TEST(HardenedRuntime, MidBatchCancellationStopsInFlightAndQueuedJobs) {
   // observe it at its next step boundary, queued jobs before their first.
   auto fired = std::make_shared<std::atomic<bool>>(false);
   core::ProgramSimOptions sim;
-  sim.compute_overhead = [fired, cancel](const core::WorkItem&) {
+  sim.compute_overhead = [fired, cancel](const core::WorkItem&,
+                                         std::span<const std::int64_t>) {
     if (!fired->exchange(true)) cancel.cancel();
     return Time::zero();
   };

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -206,10 +207,11 @@ TEST(Integration, CacheAwarePredictionReducesSmallBlockError) {
   core::ProgramSimOptions opts;
   std::vector<machine::CacheModel> caches(
       8, machine::CacheModel{machine::CacheConfig{}});
-  opts.compute_overhead = [&caches, b](const core::WorkItem& item) {
+  opts.compute_overhead = [&caches, b](const core::WorkItem& item,
+                                       std::span<const std::int64_t> ids) {
     Time stall = Time::zero();
     const Bytes bb{static_cast<std::uint64_t>(b) * b * 8};
-    for (const auto uid : item.touched) {
+    for (const auto uid : ids) {
       stall += caches[static_cast<std::size_t>(item.proc)].access(uid, bb);
     }
     return stall;

@@ -34,8 +34,8 @@ TEST(OverlapSim, ProducerFirstSendsOverlapRemainingWork) {
   // Overlapping injects the send after 10us instead of after 20us.
   core::StepProgram prog{2};
   core::ComputeStep cs;
-  cs.items.push_back(core::WorkItem{0, 0, 1, {7}});
-  cs.items.push_back(core::WorkItem{0, 0, 1, {8}});
+  cs.add({0, 0, 1}, {7});
+  cs.add({0, 0, 1}, {8});
   prog.add_compute(cs);
   pattern::CommPattern pat{2};
   pat.add(0, 1, Bytes{1}, /*tag=*/7);
@@ -54,8 +54,8 @@ TEST(OverlapSim, ProducerFirstSendsOverlapRemainingWork) {
 TEST(OverlapSim, UnknownProducerFallsBackToFullStep) {
   core::StepProgram prog{2};
   core::ComputeStep cs;
-  cs.items.push_back(core::WorkItem{0, 0, 1, {7}});
-  cs.items.push_back(core::WorkItem{0, 0, 1, {8}});
+  cs.add({0, 0, 1}, {7});
+  cs.add({0, 0, 1}, {8});
   prog.add_compute(cs);
   pattern::CommPattern pat{2};
   pat.add(0, 1, Bytes{1}, /*tag=*/999);  // nothing produced block 999 here
@@ -72,7 +72,7 @@ TEST(OverlapSim, PureReceiverDrainsDuringCompute) {
   // max(arrival, entry)=11 and the step costs nothing extra beyond it.
   core::StepProgram prog{2};
   core::ComputeStep cs;
-  cs.items.push_back(core::WorkItem{1, 0, 1, {5}});
+  cs.add({1, 0, 1}, {5});
   prog.add_compute(cs);
   prog.add_comm(pattern::single_message(2, Bytes{1}));
   const auto costs = simple_costs();

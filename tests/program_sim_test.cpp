@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "core/predictor.hpp"
 #include "pattern/builders.hpp"
 
@@ -21,8 +26,8 @@ CostTable simple_costs() {
 TEST(StepProgram, Counters) {
   StepProgram prog{2};
   ComputeStep cs;
-  cs.items.push_back(WorkItem{0, 0, 1, {}});
-  cs.items.push_back(WorkItem{1, 0, 2, {}});
+  cs.add({0, 0, 1});
+  cs.add({1, 0, 2});
   prog.add_compute(cs);
   pattern::CommPattern pat{2};
   pat.add(0, 1, Bytes{100});
@@ -39,9 +44,9 @@ TEST(StepProgram, Counters) {
 TEST(ProgramSim, PureComputeAccumulates) {
   StepProgram prog{2};
   ComputeStep cs;
-  cs.items.push_back(WorkItem{0, 0, 1, {}});  // 10us
-  cs.items.push_back(WorkItem{0, 0, 2, {}});  // 25us
-  cs.items.push_back(WorkItem{1, 0, 1, {}});  // 10us
+  cs.add({0, 0, 1});  // 10us
+  cs.add({0, 0, 2});  // 25us
+  cs.add({1, 0, 1});  // 10us
   prog.add_compute(cs);
   const auto result = ProgramSimulator{kMeiko}.run(prog, simple_costs());
   EXPECT_DOUBLE_EQ(result.proc_end[0].us(), 35.0);
@@ -55,7 +60,7 @@ TEST(ProgramSim, CommFollowsComputeWithPerProcClocks) {
   // P0 computes 10us then sends a 1-byte message; P1 computes nothing.
   StepProgram prog{2};
   ComputeStep cs;
-  cs.items.push_back(WorkItem{0, 0, 1, {}});
+  cs.add({0, 0, 1});
   prog.add_compute(cs);
   prog.add_comm(pattern::single_message(2, Bytes{1}));
   const auto result = ProgramSimulator{kMeiko}.run(prog, simple_costs());
@@ -75,7 +80,7 @@ TEST(ProgramSim, StepsPipelineWithoutGlobalBarrier) {
   StepProgram prog{2};
   for (int round = 0; round < 2; ++round) {
     ComputeStep cs;
-    cs.items.push_back(WorkItem{0, 0, 1, {}});  // 10us on P0
+    cs.add({0, 0, 1});  // 10us on P0
     prog.add_compute(cs);
     prog.add_comm(pattern::single_message(2, Bytes{1}));
   }
@@ -102,13 +107,16 @@ TEST(ProgramSim, SelfOnlyCommStepIsFree) {
 TEST(ProgramSim, ComputeOverheadHookApplied) {
   StepProgram prog{1};
   ComputeStep cs;
-  cs.items.push_back(WorkItem{0, 0, 1, {42}});
+  cs.add({0, 0, 1}, {42});
   prog.add_compute(cs);
   ProgramSimOptions opts;
   int calls = 0;
-  opts.compute_overhead = [&calls](const WorkItem& item) {
+  opts.compute_overhead = [&calls](const WorkItem& item,
+                                   std::span<const std::int64_t> touched) {
     ++calls;
-    EXPECT_EQ(item.touched[0], 42);
+    EXPECT_EQ(item.proc, 0);
+    EXPECT_EQ(std::vector<std::int64_t>(touched.begin(), touched.end()),
+              std::vector<std::int64_t>{42});
     return Time{7.0};
   };
   const auto result =
@@ -154,13 +162,49 @@ TEST(ProgramSim, DecompositionIsConsistent) {
   // comp + comm of the processor that ends last equals its end clock.
   StepProgram prog{2};
   ComputeStep cs;
-  cs.items.push_back(WorkItem{0, 0, 2, {}});
-  cs.items.push_back(WorkItem{1, 0, 1, {}});
+  cs.add({0, 0, 2});
+  cs.add({1, 0, 1});
   prog.add_compute(cs);
   prog.add_comm(pattern::ring(2, Bytes{64}));
   const auto r = ProgramSimulator{kMeiko}.run(prog, simple_costs());
   for (std::size_t p = 0; p < 2; ++p) {
     EXPECT_NEAR(r.proc_end[p].us(), (r.comp[p] + r.comm[p]).us(), 1e-9);
+  }
+}
+
+TEST(ProgramSim, CompileRefusesEndsThatDoNotCoverTheIds) {
+  // add() keeps a compute step's touched-id ends canonical; a step built
+  // by hand around it is an invalid-input Status naming the step, never a
+  // read past the id array.
+  ComputeStep good;
+  good.add({0, 0, 1}, {7, 8});
+  good.add({1, 0, 2}, {9});
+  const auto compiled = [](const ComputeStep& step) {
+    StepProgram prog{2};
+    prog.add_comm(pattern::CommPattern{2});
+    prog.add_compute(step);
+    return compile(prog, simple_costs(), kMeiko).status();
+  };
+  EXPECT_TRUE(compiled(good).ok());
+  EXPECT_TRUE(compiled(ComputeStep{}).ok());
+
+  ComputeStep overrun = good;
+  overrun.ends.back() = 4;  // past the 3 ids
+  ComputeStep under = good;
+  under.ids.push_back(10);  // an id no item owns
+  ComputeStep decreasing = good;
+  decreasing.ends = {3, 2};
+  ComputeStep missing_end = good;
+  missing_end.items.push_back({0, 0, 1});
+  ComputeStep ids_only;
+  ids_only.ids = {1};
+  for (const ComputeStep* bad :
+       {&overrun, &under, &decreasing, &missing_end, &ids_only}) {
+    const Status st = compiled(*bad);
+    EXPECT_EQ(st.code(), ErrorCode::kInvalidInput) << st.to_string();
+    EXPECT_NE(st.message().find("do not cover the id array in step 1"),
+              std::string::npos)
+        << st.message();
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <variant>
@@ -76,6 +77,7 @@ RandomProgram make_random_program(std::uint64_t seed, GenOptions opt = {}) {
           block = kBlocks[rng.below(kBlocks.size())];
         }
       }
+      std::vector<std::int64_t> ids;
       for (std::uint64_t i = 0; i < items; ++i) {
         core::WorkItem item;
         item.proc = static_cast<ProcId>(rng.below(static_cast<std::uint64_t>(procs)));
@@ -83,10 +85,11 @@ RandomProgram make_random_program(std::uint64_t seed, GenOptions opt = {}) {
         item.block_size = std::array{4, 16, 64}[rng.below(3)];
         if (opt.memo_stress) std::tie(item.op, item.block_size) = turns[i % 2];
         const auto touched = rng.below(4);
+        ids.clear();
         for (std::uint64_t t = 0; t < touched; ++t) {
-          item.touched.push_back(static_cast<std::int64_t>(rng.below(40)));
+          ids.push_back(static_cast<std::int64_t>(rng.below(40)));
         }
-        cs.items.push_back(std::move(item));
+        cs.add(item, ids);
       }
       out.program.add_compute(std::move(cs));
     } else {
@@ -129,9 +132,12 @@ core::ProgramResult reference_walk(const core::StepProgram& program,
     const auto& entry = program.step(step);
     if (const auto* cs = std::get_if<core::ComputeStep>(&entry)) {
       if (recorder != nullptr) recorder->begin_step("comp", step, n);
-      for (const auto& item : cs->items) {
+      for (std::size_t i = 0; i < cs->items.size(); ++i) {
+        const core::WorkItem& item = cs->items[i];
         Time dt = costs.cost(item.op, item.block_size);
-        if (opts.compute_overhead) dt += opts.compute_overhead(item);
+        if (opts.compute_overhead) {
+          dt += opts.compute_overhead(item, cs->touched(i));
+        }
         const auto p = static_cast<std::size_t>(item.proc);
         const Time before = clock[p];
         clock[p] += dt;
@@ -199,9 +205,10 @@ TEST_P(RandomProgramTest, MemoizedWalkMatchesPerItemLookups) {
     core::ProgramSimOptions opts;
     opts.seed = GetParam();
     if (with_overhead) {
-      opts.compute_overhead = [](const core::WorkItem& item) {
+      opts.compute_overhead = [](const core::WorkItem& item,
+                                 std::span<const std::int64_t> touched) {
         return Time{0.5 * item.block_size +
-                    static_cast<double>(item.touched.size())};
+                    static_cast<double>(touched.size())};
       };
     }
     obs::SimTraceRecorder got_trace;

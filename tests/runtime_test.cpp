@@ -11,6 +11,7 @@
 #include <chrono>
 #include <new>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -68,6 +69,7 @@ RandomCase make_random_case(std::uint64_t seed) {
     if (rng.chance(0.55)) {
       core::ComputeStep cs;
       const auto items = 1 + rng.below(10);
+      std::vector<std::int64_t> ids;
       for (std::uint64_t i = 0; i < items; ++i) {
         core::WorkItem item;
         item.proc =
@@ -76,10 +78,11 @@ RandomCase make_random_case(std::uint64_t seed) {
             rng.below(static_cast<std::uint64_t>(op_count)));
         item.block_size = std::array{4, 16, 64}[rng.below(3)];
         const auto touched = rng.below(4);
+        ids.clear();
         for (std::uint64_t t = 0; t < touched; ++t) {
-          item.touched.push_back(static_cast<std::int64_t>(rng.below(40)));
+          ids.push_back(static_cast<std::int64_t>(rng.below(40)));
         }
-        cs.items.push_back(std::move(item));
+        cs.add(item, ids);
       }
       out.program.add_compute(std::move(cs));
     } else {
@@ -122,8 +125,8 @@ void expect_identical(const core::Prediction& a, const core::Prediction& b) {
 core::StepProgram tiny_program(int block) {
   core::StepProgram program{2};
   core::ComputeStep cs;
-  cs.items.push_back(core::WorkItem{0, 0, block, {}});
-  cs.items.push_back(core::WorkItem{1, 0, block, {}});
+  cs.add({0, 0, block});
+  cs.add({1, 0, block});
   program.add_compute(std::move(cs));
   pattern::CommPattern pat{2};
   pat.add(0, 1, Bytes{64});
@@ -196,7 +199,9 @@ TEST(Equality, StepProgramStructural) {
   EXPECT_EQ(&copy.step(0), &a.step(0));
   EXPECT_EQ(copy, a);
   // ...and mutating it leaves the original as it was.
-  copy.add_compute(core::ComputeStep{{core::WorkItem{0, 0, 4, {}}}});
+  core::ComputeStep extra;
+  extra.add({0, 0, 4});
+  copy.add_compute(extra);
   copy.add_comm(pattern::CommPattern{2});
   EXPECT_EQ(copy.size(), 4u);
   EXPECT_NE(copy, a);
@@ -338,7 +343,8 @@ TEST(BatchPredictor, EveryJobExitPathCompletesTheBatch) {
   // work item's block size, throws three ways; two more jobs stop on
   // their own deadline and cancel token; the rest run to completion.
   core::ProgramSimOptions sim;
-  sim.compute_overhead = [](const core::WorkItem& item) {
+  sim.compute_overhead = [](const core::WorkItem& item,
+                            std::span<const std::int64_t>) {
     if (item.block_size == 5) throw std::runtime_error("closure failed");
     if (item.block_size == 6) throw std::bad_alloc{};
     if (item.block_size == 7) throw 42;  // not a std::exception
@@ -480,6 +486,40 @@ TEST(PredictionCache, LruEvictionUnderByteBudget) {
   EXPECT_FALSE(cache.lookup(prog_b, costs, params, 1).has_value());
 }
 
+TEST(PredictionCache, EntryChargeCountsComputeStepsByTheirArrays) {
+  // A work item is three ints and owns nothing; a compute step is charged
+  // its three arrays' sizes, so the charge costs O(steps), and each touched
+  // id adds 8 bytes.
+  static_assert(sizeof(core::WorkItem) == 3 * sizeof(int));
+  const auto costs = tiny_costs();
+  const auto params = loggp::presets::meiko_cs2(2);
+  const auto program_with = [](bool ids) {
+    core::StepProgram prog{2};
+    core::ComputeStep cs;
+    cs.add({0, 0, 4}, ids ? std::vector<std::int64_t>{1, 2}
+                          : std::vector<std::int64_t>{});
+    cs.add({1, 0, 4}, ids ? std::vector<std::int64_t>{3}
+                          : std::vector<std::int64_t>{});
+    cs.add({1, 0, 64});
+    prog.add_compute(cs);
+    pattern::CommPattern pat{2};
+    pat.add(0, 1, Bytes{64});
+    prog.add_comm(pat);
+    return prog;
+  };
+  const auto with_ids = program_with(true);
+  const auto pred = core::Predictor{params}.predict_or_die(with_ids, costs);
+  const std::size_t charge = runtime::prediction_entry_bytes(with_ids, pred);
+  EXPECT_EQ(charge,
+            sizeof(core::StepProgram) + sizeof(core::Prediction) +
+                2 * sizeof(core::StepProgram::Step) +
+                3 * (sizeof(core::WorkItem) + sizeof(std::uint32_t)) +
+                3 * sizeof(std::int64_t) + sizeof(pattern::Message) +
+                2 * 3 * 2 * sizeof(Time));  // 2 schedules x 3 vectors x P
+  EXPECT_EQ(charge - runtime::prediction_entry_bytes(program_with(false), pred),
+            3 * sizeof(std::int64_t));
+}
+
 TEST(PredictionCache, OversizedEntryIsNotRetained) {
   const auto costs = tiny_costs();
   const auto params = loggp::presets::meiko_cs2(2);
@@ -531,8 +571,12 @@ TEST(PredictionCache, TouchedIdsShareAKeyButNeverAHit) {
   const auto params = loggp::presets::meiko_cs2(2);
   core::StepProgram a{2};
   core::StepProgram b{2};
-  a.add_compute(core::ComputeStep{{core::WorkItem{0, 0, 4, {1, 2}}}});
-  b.add_compute(core::ComputeStep{{core::WorkItem{0, 0, 4, {3}}}});
+  core::ComputeStep two_ids;
+  two_ids.add({0, 0, 4}, {1, 2});
+  core::ComputeStep one_id;
+  one_id.add({0, 0, 4}, {3});
+  a.add_compute(two_ids);
+  b.add_compute(one_id);
   ASSERT_NE(a, b);
   EXPECT_EQ(runtime::prediction_key_hash(a, costs, params, 1),
             runtime::prediction_key_hash(b, costs, params, 1));
@@ -596,7 +640,10 @@ TEST(BatchPredictor, UnkeyedJobsNeverReachTheCache) {
   EXPECT_FALSE(recorder.empty());
 
   core::ProgramSimOptions overhead;
-  overhead.compute_overhead = [](const core::WorkItem&) { return Time{1.0}; };
+  overhead.compute_overhead = [](const core::WorkItem&,
+                                 std::span<const std::int64_t>) {
+    return Time{1.0};
+  };
   runtime::BatchPredictor with_overhead{
       {.threads = 2, .sim = overhead, .cache = &cache, .metrics = &metrics}};
   const auto result =

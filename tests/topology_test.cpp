@@ -444,7 +444,7 @@ core::StepProgram two_step_program(int procs, core::CostTable& costs,
   costs.set_cost(op, 16, op_cost);
   core::ComputeStep comp;
   for (int p = 0; p < procs; ++p) {
-    comp.items.push_back(core::WorkItem{p, op, 16, {}});
+    comp.add({p, op, 16});
   }
   program.add_compute(std::move(comp));
   program.add_comm(std::move(comm));

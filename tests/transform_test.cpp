@@ -65,7 +65,7 @@ TEST(Coalesce, NeverMergesAcrossSteps) {
 TEST(Coalesce, PreservesComputeSteps) {
   core::StepProgram prog{2};
   core::ComputeStep cs;
-  cs.items.push_back(core::WorkItem{0, 0, 8, {1}});
+  cs.add({0, 0, 8}, {1});
   prog.add_compute(cs);
   const auto merged = coalesce_messages(prog);
   EXPECT_EQ(merged.work_item_count(), 1u);
@@ -108,7 +108,7 @@ TEST(Fuse, MergesAdjacentCommSteps) {
   prog.add_comm(a);
   prog.add_comm(b);
   core::ComputeStep cs;
-  cs.items.push_back(core::WorkItem{0, 0, 8, {}});
+  cs.add({0, 0, 8});
   prog.add_compute(cs);
   pattern::CommPattern c{2};
   c.add(0, 1, Bytes{7});

@@ -209,6 +209,12 @@ for remote in "" "--server 127.0.0.1:$port"; do
     exit 1
   fi
 done
+# A pattern tag that does not fit an int64 must be refused, not clamped.
+printf 'procs 2\nmsg 0 1 8 99999999999999999999\n' > "$smoke_tmp/wide_tag.txt"
+if "$cli" simulate "$smoke_tmp/wide_tag.txt" > /dev/null 2>&1; then
+  echo "==> [topology] pattern tag 99999999999999999999 was accepted" >&2
+  exit 1
+fi
 echo "==> [topology] smoke OK (flat=$flat_us torus=$torus_us" \
   "fattree=$fattree_us us)"
 
